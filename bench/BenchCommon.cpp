@@ -2,8 +2,6 @@
 
 #include "BenchCommon.h"
 
-#include "PaperData.h"
-
 #include "support/Error.h"
 
 #include <cstdio>
@@ -28,10 +26,6 @@ allocsim::parseBenchOptions(int Argc, const char *const *Argv,
   Cli.addFlag("out-telemetry-json", "",
               "export per-cell + merged telemetry as JSON to this path "
               "(matrix-backed benches only)");
-  Cli.addFlag("engine", "percfg",
-              "cache sweep engine: percfg (one simulator per config) or "
-              "stackdist (one stack-distance pass; sweep benches switch to "
-              "a shared-set-count family of the same capacities)");
   if (!Cli.parse(Argc, Argv))
     return std::nullopt;
   BenchOptions Options;
@@ -47,14 +41,6 @@ allocsim::parseBenchOptions(int Argc, const char *const *Argv,
     return std::nullopt;
   }
   Options.OutTelemetryJson = Cli.getString("out-telemetry-json");
-  if (std::optional<CacheEngineKind> Engine =
-          tryParseCacheEngine(Cli.getString("engine"))) {
-    Options.Engine = *Engine;
-  } else {
-    std::cerr << "error: bad --engine '" << Cli.getString("engine")
-              << "' (expected percfg or stackdist)\n";
-    return std::nullopt;
-  }
   return Options;
 }
 
@@ -83,7 +69,6 @@ ExperimentConfig allocsim::baseConfig(WorkloadId Workload,
   Config.Engine.Scale = Options.Scale;
   Config.Engine.Seed = Options.Seed;
   Config.Telemetry = Options.Telemetry;
-  Config.CacheEngine = Options.Engine;
   return Config;
 }
 
@@ -93,15 +78,18 @@ std::string allocsim::formatRate(double Value) {
   return Buffer;
 }
 
-ResultStore allocsim::runBenchMatrix(const std::vector<WorkloadId> &Workloads,
-                                     const std::vector<CacheConfig> &Caches,
+MatrixSpec allocsim::benchMatrixSpec(const std::vector<WorkloadId> &Workloads,
                                      const BenchOptions &Options) {
   MatrixSpec Spec;
   Spec.Workloads = Workloads;
   Spec.Allocators.assign(PaperAllocators, PaperAllocators + 5);
-  Spec.Caches = Caches;
   Spec.Base = baseConfig(Workloads.front(), Options);
+  Spec.SaltSeedPerWorkload = false;
+  return Spec;
+}
 
+ResultStore allocsim::runBenchMatrix(const MatrixSpec &Spec,
+                                     const BenchOptions &Options) {
   MatrixOptions Run;
   Run.Jobs = Options.Jobs;
   ResultStore Store = runMatrix(Spec, Run);
@@ -128,135 +116,4 @@ ResultStore allocsim::runBenchMatrix(const std::vector<WorkloadId> &Workloads,
     Store.writeTelemetryJson(Out);
   }
   return Store;
-}
-
-std::vector<std::vector<RunResult>>
-allocsim::runTimeStudy(uint32_t CacheKb, const BenchOptions &Options) {
-  ResultStore Store = runBenchMatrix(
-      {PaperWorkloads, PaperWorkloads + 5},
-      {CacheConfig{CacheKb * 1024, 32, 1}}, Options);
-  std::vector<std::vector<RunResult>> Results;
-  for (size_t W = 0; W != 5; ++W) {
-    Results.emplace_back();
-    for (size_t A = 0; A != 5; ++A)
-      Results.back().push_back(Store.at(W, A).Result);
-  }
-  return Results;
-}
-
-void allocsim::emitNormalizedTimeStudy(uint32_t CacheKb,
-                                       const BenchOptions &Options) {
-  std::vector<std::vector<RunResult>> Results =
-      runTimeStudy(CacheKb, Options);
-
-  std::vector<std::string> Headers = {"allocator"};
-  for (WorkloadId Workload : PaperWorkloads)
-    Headers.push_back(std::string(workloadName(Workload)) + " base/total");
-  Table Out(Headers);
-
-  for (size_t AllocIdx = 0; AllocIdx != 5; ++AllocIdx) {
-    Out.beginRow();
-    Out.cell(allocatorKindName(PaperAllocators[AllocIdx]));
-    for (size_t AppIdx = 0; AppIdx != 5; ++AppIdx) {
-      const RunResult &Run = Results[AppIdx][AllocIdx];
-      const RunResult &FirstFit = Results[AppIdx][0];
-      double BaseNorm = double(Run.totalInstructions()) /
-                        double(FirstFit.totalInstructions());
-      double TotalNorm = Run.Caches[0].Time.totalCycles() /
-                         FirstFit.Caches[0].Time.totalCycles();
-      Out.cell(formatDouble(BaseNorm, 3) + "/" + formatDouble(TotalNorm, 3));
-    }
-  }
-  renderTable(Out, Options,
-              "execution time normalized to FirstFit "
-              "(base = instructions only; total = with cache penalty)");
-
-  Table Share({"allocator", "espresso", "gs", "ptc", "gawk", "make"});
-  for (size_t AllocIdx = 0; AllocIdx != 5; ++AllocIdx) {
-    Share.beginRow();
-    Share.cell(allocatorKindName(PaperAllocators[AllocIdx]));
-    for (size_t AppIdx = 0; AppIdx != 5; ++AppIdx) {
-      const RunResult &Run = Results[AppIdx][AllocIdx];
-      Share.num(100.0 * Run.Caches[0].Time.missCycles() /
-                    Run.Caches[0].Time.totalCycles(),
-                1);
-    }
-  }
-  renderTable(Share, Options, "cache-miss share of execution time (%)");
-}
-
-void allocsim::emitTimeTable(uint32_t CacheKb, const PaperTime Paper[5][5],
-                             const BenchOptions &Options) {
-  std::vector<std::vector<RunResult>> Results =
-      runTimeStudy(CacheKb, Options);
-
-  auto FormatPaper = [](const PaperTime &Entry) -> std::string {
-    if (Entry.TotalSeconds < 0)
-      return "?";
-    return formatDouble(Entry.TotalSeconds, 2) + "/" +
-           formatDouble(Entry.MissSeconds, 2);
-  };
-
-  std::vector<std::string> Headers = {"allocator"};
-  for (WorkloadId Workload : PaperWorkloads) {
-    Headers.push_back(std::string(workloadName(Workload)));
-    Headers.push_back("paper");
-  }
-  Table Out(Headers);
-
-  for (size_t AllocIdx = 0; AllocIdx != 5; ++AllocIdx) {
-    Out.beginRow();
-    Out.cell(allocatorKindName(PaperAllocators[AllocIdx]));
-    for (size_t AppIdx = 0; AppIdx != 5; ++AppIdx) {
-      const RunResult &Run = Results[AppIdx][AllocIdx];
-      WorkloadEngine Engine(getProfile(PaperWorkloads[AppIdx]),
-                            baseConfig(PaperWorkloads[AppIdx], Options)
-                                .Engine);
-      // Seconds at the run's scale multiplied back to paper scale; live
-      // heaps are unscaled so the miss *rate* is directly comparable.
-      double Scale = Engine.effectiveScale();
-      double Total = Run.Caches[0].Time.seconds() * Scale;
-      double Miss = Run.Caches[0].Time.missSeconds() * Scale;
-      Out.cell(formatDouble(Total, 2) + "/" + formatDouble(Miss, 2));
-      Out.cell(FormatPaper(Paper[AllocIdx][AppIdx]));
-    }
-  }
-  renderTable(Out, Options,
-              "estimated total seconds / seconds waiting on " +
-                  std::to_string(CacheKb) +
-                  "K-cache misses (25 MHz, scaled back to paper volume)");
-}
-
-void allocsim::runPageFaultFigure(WorkloadId Workload,
-                                  const std::vector<uint32_t> &MemoryKb,
-                                  const BenchOptions &Options) {
-  std::vector<RunResult> Results;
-  for (AllocatorKind Allocator : PaperAllocators) {
-    ExperimentConfig Config = baseConfig(Workload, Options);
-    Config.Allocator = Allocator;
-    Config.PagingMemoryKb = MemoryKb;
-    Results.push_back(runExperiment(Config));
-  }
-
-  std::vector<std::string> Headers = {"memory KB"};
-  for (AllocatorKind Allocator : PaperAllocators)
-    Headers.emplace_back(allocatorKindName(Allocator));
-  Table Out(Headers);
-  for (size_t Row = 0; Row != MemoryKb.size(); ++Row) {
-    Out.beginRow();
-    Out.num(uint64_t(MemoryKb[Row]));
-    for (const RunResult &Result : Results)
-      Out.cell(formatRate(Result.Paging[Row].FaultsPerRef));
-  }
-  renderTable(Out, Options, "page faults per memory reference (4 KB pages)");
-
-  Table Heap({"allocator", "total heap KB", "distinct pages"});
-  for (size_t I = 0; I != Results.size(); ++I) {
-    Heap.beginRow();
-    Heap.cell(allocatorKindName(PaperAllocators[I]));
-    Heap.num(uint64_t(Results[I].HeapBytes / 1024));
-    Heap.num(Results[I].DistinctPages);
-  }
-  renderTable(Heap, Options,
-              "memory requested per allocator (the figure's x-axis ends)");
 }

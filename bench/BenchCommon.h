@@ -5,21 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Flag handling and formatting shared by the per-table/per-figure
-/// benchmark binaries. Every binary accepts:
+/// Flag handling, formatting and the matrix runner shared by bench_paper
+/// and the extension benchmarks. Every binary accepts:
 ///
 ///   --scale N      divide the paper's allocation counts by N (default 8;
 ///                  workloads that cannot be scaled without shrinking their
 ///                  live heap, like PTC, are clamped automatically)
 ///   --seed S       workload RNG seed
 ///   --csv          emit CSV instead of aligned text
-///   --jobs N       MatrixRunner worker threads for the sweep benches
+///   --jobs N       MatrixRunner worker threads for the matrix-backed benches
 ///                  (0 = all hardware threads; results are bit-identical
 ///                  at any job count)
 ///   --out-json P   also export the full experiment matrix as JSON to P
 ///
-/// and prints the paper artifact it regenerates, alongside the paper's
-/// published values where the scanned text preserves them.
+/// and prints the artifacts it regenerates, alongside the paper's published
+/// values where the scanned text preserves them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,11 +52,6 @@ struct BenchOptions {
   /// When non-empty, matrix-backed benches also export per-cell + merged
   /// telemetry ("allocsim-telemetry-v1") to this path.
   std::string OutTelemetryJson;
-  /// Cache sweep engine for every run. Under StackDist the sweep benches
-  /// substitute stackCacheSweep()-style families (same capacities, shared
-  /// set count) for their direct-mapped sweeps, since a stack-distance
-  /// family must share its set-indexing function.
-  CacheEngineKind Engine = CacheEngineKind::PerConfig;
 };
 
 /// Registers and parses the common flags (plus any caller-registered ones
@@ -78,43 +73,20 @@ ExperimentConfig baseConfig(WorkloadId Workload, const BenchOptions &Options);
 /// Formats a fault rate the way the paper's log-scale figures label it.
 std::string formatRate(double Value);
 
-/// Runs \p Workloads x PaperAllocators through the MatrixRunner at
-/// Options.Jobs workers, with every cell observing all of \p Caches.
-/// Exports the matrix to Options.OutJson when set, and dies with the
-/// cell's attribution if any cell fails (the paper sweeps have no
-/// legitimately failing cells). Index the store with at(W, A).
-ResultStore runBenchMatrix(const std::vector<WorkloadId> &Workloads,
-                           const std::vector<CacheConfig> &Caches,
+/// A matrix of \p Workloads x the five paper allocators under the common
+/// options (no caches or paging attached). Every cell uses Options.Seed
+/// verbatim, so a (workload, allocator) cell reads the same in every
+/// matrix that holds it and in a lone runExperiment of baseConfig().
+MatrixSpec benchMatrixSpec(const std::vector<WorkloadId> &Workloads,
                            const BenchOptions &Options);
 
-/// Runs the Figure 4/5 and Table 4/5 study: every paper workload under
-/// every paper allocator with one direct-mapped cache of \p CacheKb,
-/// through the MatrixRunner (parallel across cells, deterministic).
-/// Returns Results[workload][allocator] in PaperWorkloads/PaperAllocators
-/// order.
-std::vector<std::vector<RunResult>> runTimeStudy(uint32_t CacheKb,
-                                                 const BenchOptions &Options);
-
-/// Emits the Figure 4/5 artifact: per-application execution time
-/// normalized to FirstFit, base (instructions only) and total (with the
-/// 25-cycle miss penalty), plus the miss share of execution time.
-void emitNormalizedTimeStudy(uint32_t CacheKb, const BenchOptions &Options);
-
-/// Paper reference entry for emitTimeTable (see PaperData.h).
-struct PaperTime;
-
-/// Emits the Table 4/5 artifact: estimated total seconds and miss seconds
-/// per application and allocator, next to the paper's published values.
-void emitTimeTable(uint32_t CacheKb, const PaperTime Paper[5][5],
-                   const BenchOptions &Options);
-
-/// Runs a Figure 2/3-style page-fault study: one workload under all five
-/// allocators, printing faults-per-reference at each memory size, plus the
-/// per-allocator total heap ("total amount of memory requested by the
-/// program", the paper's x-axis end symbols).
-void runPageFaultFigure(WorkloadId Workload,
-                        const std::vector<uint32_t> &MemoryKb,
-                        const BenchOptions &Options);
+/// Runs \p Spec through the MatrixRunner at Options.Jobs workers. Exports
+/// the store to Options.OutJson and its telemetry to
+/// Options.OutTelemetryJson when set, and dies with the cell's attribution
+/// if any cell fails (the paper sweeps have no legitimately failing
+/// cells).
+ResultStore runBenchMatrix(const MatrixSpec &Spec,
+                           const BenchOptions &Options);
 
 } // namespace allocsim
 

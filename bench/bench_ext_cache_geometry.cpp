@@ -37,10 +37,9 @@ int main(int Argc, char **Argv) {
   for (uint32_t Assoc : {2u, 4u, 8u})
     Configs.push_back(CacheConfig{CacheKb * 1024, 32, Assoc});
 
-  ExperimentConfig Base = baseConfig(Workload, *Options);
-  Base.Caches = Configs;
-  std::vector<RunResult> Results =
-      runSweep(Base, {PaperAllocators, PaperAllocators + 5});
+  MatrixSpec Spec = benchMatrixSpec({Workload}, *Options);
+  Spec.Caches = Configs;
+  ResultStore Store = runBenchMatrix(Spec, *Options);
 
   std::vector<std::string> Headers = {"geometry"};
   for (AllocatorKind Allocator : PaperAllocators)
@@ -49,8 +48,9 @@ int main(int Argc, char **Argv) {
   for (size_t CacheIdx = 0; CacheIdx != Configs.size(); ++CacheIdx) {
     Out.beginRow();
     Out.cell(Configs[CacheIdx].describe());
-    for (const RunResult &Result : Results)
-      Out.num(100.0 * Result.Caches[CacheIdx].Stats.missRate(), 2);
+    for (size_t A = 0; A != 5; ++A)
+      Out.num(100.0 * Store.at(0, A).Result.Caches[CacheIdx].Stats.missRate(),
+              2);
   }
   renderTable(Out, *Options, "miss rate (%)");
   return 0;

@@ -27,11 +27,6 @@
 
 #include "BenchCommon.h"
 
-#include "cache/StackSim.h"
-#include "support/Error.h"
-
-#include <fstream>
-
 using namespace allocsim;
 
 namespace {
@@ -47,28 +42,15 @@ ResultStore runModernMatrix(const std::vector<WorkloadId> &Workloads,
                             const std::vector<CacheConfig> &Caches,
                             const BenchOptions &Options,
                             const std::string &OutJson) {
-  MatrixSpec Spec;
-  Spec.Workloads = Workloads;
+  MatrixSpec Spec = benchMatrixSpec(Workloads, Options);
   Spec.Allocators = modernSweepAllocators();
   Spec.Caches = Caches;
-  Spec.Base = baseConfig(Workloads.front(), Options);
-
-  MatrixOptions Run;
-  Run.Jobs = Options.Jobs;
-  ResultStore Store = runMatrix(Spec, Run);
-  for (size_t I = 0; I != Store.size(); ++I)
-    if (!Store.cell(I).Ok)
-      reportFatalError(std::string("bench matrix cell failed: workload ") +
-                       workloadName(Store.cell(I).Workload) + ", allocator " +
-                       allocatorKindName(Store.cell(I).Allocator) + ": " +
-                       Store.cell(I).Error);
-  if (!OutJson.empty()) {
-    std::ofstream Out(OutJson);
-    if (!Out)
-      reportFatalError("cannot write '" + OutJson + "'");
-    Store.writeJson(Out);
-  }
-  return Store;
+  // Seeds salted per workload, as this extension's recorded numbers were.
+  Spec.SaltSeedPerWorkload = true;
+  BenchOptions Export = Options;
+  Export.OutJson = OutJson;
+  Export.OutTelemetryJson.clear();
+  return runBenchMatrix(Spec, Export);
 }
 
 } // namespace
@@ -85,11 +67,8 @@ int main(int Argc, char **Argv) {
   const std::vector<AllocatorKind> Allocators = modernSweepAllocators();
 
   // Part one: Figure 6/7-style miss-rate columns, GS small and medium
-  // inputs, 16K..256K — direct-mapped per config, or the shared-set-count
-  // family when the stack-distance engine runs the sweep in one pass.
-  const bool StackEngine = Options->Engine == CacheEngineKind::StackDist;
-  const std::vector<CacheConfig> Sweep =
-      StackEngine ? stackCacheSweep() : paperCacheSweep();
+  // inputs, 16K..256K direct-mapped.
+  const std::vector<CacheConfig> Sweep = paperCacheSweep();
   ResultStore MissStore = runModernMatrix(
       {WorkloadId::GsSmall, WorkloadId::GsMedium}, Sweep, *Options,
       Options->OutJson.empty() ? "" : Options->OutJson + ".missrate.json");
@@ -115,14 +94,9 @@ int main(int Argc, char **Argv) {
 
   // Part two: Table 4/5-style estimated seconds at 16K and 64K, plus the
   // allocation-policy costs that explain them.
-  // Under the stack engine the 16K/64K pair becomes a 512-set family (64K
-  // at 4-way) so it, too, is one pass.
   ResultStore TimeStore = runModernMatrix(
       {WorkloadId::Espresso, WorkloadId::Make},
-      StackEngine ? std::vector<CacheConfig>{CacheConfig{16 * 1024, 32, 1},
-                                             CacheConfig{64 * 1024, 32, 4}}
-                  : std::vector<CacheConfig>{CacheConfig{16 * 1024, 32, 1},
-                                             CacheConfig{64 * 1024, 32, 1}},
+      {CacheConfig{16 * 1024, 32, 1}, CacheConfig{64 * 1024, 32, 1}},
       *Options,
       Options->OutJson.empty() ? "" : Options->OutJson + ".exectime.json");
   const WorkloadId TimeWorkloads[] = {WorkloadId::Espresso, WorkloadId::Make};

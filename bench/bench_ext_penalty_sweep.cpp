@@ -28,10 +28,9 @@ int main(int Argc, char **Argv) {
                   std::string(workloadName(Workload)) + ", 64K cache",
               *Options);
 
-  ExperimentConfig Config = baseConfig(Workload, *Options);
-  Config.Caches = {CacheConfig{64 * 1024, 32, 1}};
-  std::vector<RunResult> Results =
-      runSweep(Config, {PaperAllocators, PaperAllocators + 5});
+  MatrixSpec Spec = benchMatrixSpec({Workload}, *Options);
+  Spec.Caches = {CacheConfig{64 * 1024, 32, 1}};
+  ResultStore Store = runBenchMatrix(Spec, *Options);
 
   std::vector<std::string> Headers = {"penalty (cycles)"};
   for (AllocatorKind Allocator : PaperAllocators)
@@ -40,8 +39,8 @@ int main(int Argc, char **Argv) {
   for (uint32_t Penalty : {10u, 25u, 50u, 100u, 150u, 200u}) {
     Out.beginRow();
     Out.num(uint64_t(Penalty));
-    for (const RunResult &Result : Results) {
-      TimeEstimate Time = Result.Caches[0].Time;
+    for (size_t A = 0; A != 5; ++A) {
+      TimeEstimate Time = Store.at(0, A).Result.Caches[0].Time;
       Time.MissPenalty = Penalty;
       Out.num(Time.seconds(), 2);
     }

@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The paper's published data points, shared by the benchmark binaries that
-/// print them next to measured values (bench/bench_table4_time_16k and
-/// friends, via bench/PaperData.h) and by the conformance engine that gates
-/// on the qualitative claims derived from them. One definition: a bench that
-/// renders Table 4 and a conformance suite that asserts Table 4's ordering
-/// must read the same transcription.
+/// The paper's published data points, shared by bench/bench_paper, which
+/// prints them next to measured values, and by the conformance engine that
+/// gates on the qualitative claims derived from them. One definition: the
+/// bench that renders Table 4 and a conformance suite that asserts Table
+/// 4's ordering must read the same transcription.
 ///
 /// Numeric points: Tables 4 and 5 (total estimated execution seconds /
 /// seconds waiting on cache misses, DECstation 5000/120), transcribed from

@@ -295,16 +295,3 @@ allocsim::runScriptExperiment(const ExperimentConfig &Config,
           Drive.execute(Event);
       });
 }
-
-std::vector<RunResult>
-allocsim::runSweep(const ExperimentConfig &Base,
-                   const std::vector<AllocatorKind> &Allocators) {
-  std::vector<RunResult> Results;
-  Results.reserve(Allocators.size());
-  for (AllocatorKind Kind : Allocators) {
-    ExperimentConfig Config = Base;
-    Config.Allocator = Kind;
-    Results.push_back(runExperiment(Config));
-  }
-  return Results;
-}

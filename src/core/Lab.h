@@ -216,11 +216,6 @@ RunResult runExperiment(const ExperimentConfig &Config,
 RunResult runScriptExperiment(const ExperimentConfig &Config,
                               const std::vector<AllocEvent> &Events);
 
-/// Runs the same workload over each allocator in \p Allocators (shared
-/// configuration otherwise), in order.
-std::vector<RunResult> runSweep(const ExperimentConfig &Base,
-                                const std::vector<AllocatorKind> &Allocators);
-
 } // namespace allocsim
 
 #endif // ALLOCSIM_CORE_LAB_H

@@ -3,16 +3,16 @@
 // Part of allocsim (PLDI 1993 cache-locality-of-malloc reproduction).
 //
 // Coverage for the shared benchmark harness (bench/BenchCommon): the common
-// flag parsing, the PaperData transcription the benches print beside
-// measured values, and — via death tests — runBenchMatrix's fatal paths,
-// which previously had no test exercising them: a failed cell must die with
-// the cell's coordinates in the message, and an unwritable --out-json path
-// must die naming the path.
+// flag parsing, the conform/PaperPoints transcription bench_paper prints
+// beside measured values, and — via death tests — runBenchMatrix's fatal
+// paths: a failed cell must die with the cell's coordinates in the
+// message, and an unwritable --out-json path must die naming the path.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
-#include "PaperData.h"
+
+#include "conform/PaperPoints.h"
 
 #include "support/Json.h"
 
@@ -88,7 +88,7 @@ TEST(BenchOptionsTest, FormatRateUsesScientificNotation) {
 }
 
 //===----------------------------------------------------------------------===//
-// The PaperData transcription (Tables 4 and 5)
+// The PaperPoints transcription (Tables 4 and 5)
 //===----------------------------------------------------------------------===//
 
 TEST(PaperDataTest, ScanGapsAreExactlyWhereDocumented) {
@@ -141,15 +141,23 @@ BenchOptions tinyRunOptions() {
   return Options;
 }
 
+ResultStore runMakeMatrix(const BenchOptions &Options) {
+  return runBenchMatrix(benchMatrixSpec({WorkloadId::Make}, Options),
+                        Options);
+}
+
 TEST(RunBenchMatrixTest, RunsAllPaperAllocatorsAndExportsJson) {
   std::string OutPath = ::testing::TempDir() + "/benchcommon_matrix.json";
   BenchOptions Options = tinyRunOptions();
   Options.OutJson = OutPath;
 
-  ResultStore Store = runBenchMatrix({WorkloadId::Make}, {}, Options);
+  ResultStore Store = runMakeMatrix(Options);
   EXPECT_EQ(Store.size(), 5u);
   EXPECT_EQ(Store.failedCount(), 0u);
   EXPECT_EQ(Store.spec().Allocators.size(), 5u);
+  // Every cell runs at the bench seed verbatim.
+  for (size_t I = 0; I != Store.size(); ++I)
+    EXPECT_EQ(Store.cell(I).Seed, Options.Seed);
 
   std::ifstream In(OutPath);
   ASSERT_TRUE(In.good());
@@ -166,7 +174,7 @@ TEST(RunBenchMatrixTest, RunsAllPaperAllocatorsAndExportsJson) {
 TEST(RunBenchMatrixTest, FailedCellDiesWithCellAttribution) {
   BenchOptions Options = tinyRunOptions();
   Options.Scale = 0; // fails cell validation: scale must be positive
-  EXPECT_DEATH(runBenchMatrix({WorkloadId::Make}, {}, Options),
+  EXPECT_DEATH(runMakeMatrix(Options),
                "bench matrix cell failed: workload make, allocator "
                "FirstFit: engine scale must be positive");
 }
@@ -174,14 +182,14 @@ TEST(RunBenchMatrixTest, FailedCellDiesWithCellAttribution) {
 TEST(RunBenchMatrixTest, UnwritableJsonExportDiesNamingThePath) {
   BenchOptions Options = tinyRunOptions();
   Options.OutJson = "/nonexistent-dir/matrix.json";
-  EXPECT_DEATH(runBenchMatrix({WorkloadId::Make}, {}, Options),
+  EXPECT_DEATH(runMakeMatrix(Options),
                "cannot write '/nonexistent-dir/matrix.json'");
 }
 
 TEST(RunBenchMatrixTest, UnwritableTelemetryExportDiesNamingThePath) {
   BenchOptions Options = tinyRunOptions();
   Options.OutTelemetryJson = "/nonexistent-dir/telemetry.json";
-  EXPECT_DEATH(runBenchMatrix({WorkloadId::Make}, {}, Options),
+  EXPECT_DEATH(runMakeMatrix(Options),
                "cannot write '/nonexistent-dir/telemetry.json'");
 }
 

@@ -1,6 +1,7 @@
 //===- tests/integration_test.cpp - Cross-module integration tests --------===//
 
 #include "core/Lab.h"
+#include "core/MatrixRunner.h"
 #include "trace/RefTrace.h"
 #include "vm/PageSim.h"
 #include "workload/Driver.h"
@@ -117,23 +118,24 @@ TEST(IntegrationTest, PaperShapeFirstFitHasWorstLocality) {
 TEST(IntegrationTest, PaperShapeBsdIsInstructionLeanest) {
   // Figure 1: BSD spends the smallest fraction of instructions in
   // malloc/free; GNU LOCAL the largest among the segregated allocators.
-  ExperimentConfig Config;
-  Config.Workload = WorkloadId::Espresso;
-  Config.Engine.Scale = 32;
-  std::vector<RunResult> Results =
-      runSweep(Config, {PaperAllocators, PaperAllocators + 5});
+  MatrixSpec Spec;
+  Spec.Workloads = {WorkloadId::Espresso};
+  Spec.Allocators = {PaperAllocators, PaperAllocators + 5};
+  Spec.Base.Engine.Scale = 32;
+  Spec.SaltSeedPerWorkload = false;
+  ResultStore Store = runMatrix(Spec);
+  ASSERT_EQ(Store.failedCount(), 0u);
   // PaperAllocators order: FirstFit, QuickFit, GnuGxx, Bsd, GnuLocal.
-  const RunResult &Bsd = Results[3];
-  for (size_t I = 0; I != Results.size(); ++I) {
+  auto Fraction = [&](size_t A) {
+    return Store.at(0, A).Result.allocInstrFraction();
+  };
+  for (size_t I = 0; I != Store.size(); ++I) {
     if (I != 3) {
-      EXPECT_LT(Bsd.allocInstrFraction(), Results[I].allocInstrFraction());
+      EXPECT_LT(Fraction(3), Fraction(I));
     }
   }
-  const RunResult &GnuLocal = Results[4];
-  EXPECT_GT(GnuLocal.allocInstrFraction(),
-            Results[1].allocInstrFraction()); // vs QuickFit
-  EXPECT_GT(GnuLocal.allocInstrFraction(),
-            Results[3].allocInstrFraction()); // vs BSD
+  EXPECT_GT(Fraction(4), Fraction(1)); // GnuLocal vs QuickFit
+  EXPECT_GT(Fraction(4), Fraction(3)); // GnuLocal vs BSD
 }
 
 TEST(IntegrationTest, PaperShapeBoundaryTagsCostLittle) {

@@ -1,6 +1,7 @@
 //===- tests/lab_test.cpp - Experiment orchestration tests ----------------===//
 
 #include "core/Lab.h"
+#include "core/MatrixRunner.h"
 
 #include <gtest/gtest.h>
 
@@ -66,14 +67,21 @@ TEST(LabTest, DeterministicAcrossRuns) {
 TEST(LabTest, IdenticalEventStreamAcrossAllocators) {
   // The methodological control: every allocator must see the same
   // application behaviour — identical app refs and app instructions.
-  ExperimentConfig Base = smallConfig(WorkloadId::Make, AllocatorKind::Bsd);
-  std::vector<RunResult> Results =
-      runSweep(Base, {PaperAllocators, PaperAllocators + 5});
-  for (const RunResult &Result : Results) {
-    EXPECT_EQ(Result.AppRefs, Results[0].AppRefs);
-    EXPECT_EQ(Result.AppInstructions, Results[0].AppInstructions);
-    EXPECT_EQ(Result.Alloc.MallocCalls, Results[0].Alloc.MallocCalls);
-    EXPECT_EQ(Result.Alloc.BytesRequested, Results[0].Alloc.BytesRequested);
+  MatrixSpec Spec;
+  Spec.Base = smallConfig(WorkloadId::Make, AllocatorKind::Bsd);
+  Spec.Workloads = {Spec.Base.Workload};
+  Spec.Allocators = {PaperAllocators, PaperAllocators + 5};
+  Spec.Caches = Spec.Base.Caches;
+  Spec.SaltSeedPerWorkload = false;
+  ResultStore Store = runMatrix(Spec);
+  ASSERT_EQ(Store.failedCount(), 0u);
+  const RunResult &First = Store.at(0, 0).Result;
+  for (size_t A = 0; A != Store.size(); ++A) {
+    const RunResult &Result = Store.at(0, A).Result;
+    EXPECT_EQ(Result.AppRefs, First.AppRefs);
+    EXPECT_EQ(Result.AppInstructions, First.AppInstructions);
+    EXPECT_EQ(Result.Alloc.MallocCalls, First.Alloc.MallocCalls);
+    EXPECT_EQ(Result.Alloc.BytesRequested, First.Alloc.BytesRequested);
   }
 }
 
