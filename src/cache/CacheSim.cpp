@@ -20,6 +20,10 @@ uint32_t log2Exact(uint32_t Value) {
   return static_cast<uint32_t>(__builtin_ctz(Value));
 }
 
+/// Set counts are powers of two below 2^31, so a bank holds at most 31
+/// direct-mapped caches of one block size.
+constexpr size_t MaxNestedMembers = 32;
+
 } // namespace
 
 bool CacheConfig::valid() const {
@@ -145,6 +149,71 @@ void DirectMappedCache::accessBatch(const MemAccess *Batch, size_t Count) {
   foldBatchStats(Accesses, Misses, AccBySource, MissBySource);
 }
 
+void DirectMappedCache::accessBatchNested(DirectMappedCache *const *Members,
+                                          size_t NumMembers,
+                                          const MemAccess *Batch,
+                                          size_t Count) {
+  assert(NumMembers != 0 && NumMembers <= MaxNestedMembers &&
+         "nested sweep member count out of range");
+  struct Lane {
+    uint64_t *Tags;
+    uint64_t *SetMisses;
+    uint32_t Mask;
+  };
+  Lane Lanes[MaxNestedMembers] = {};
+  for (size_t M = 0; M != NumMembers; ++M) {
+    DirectMappedCache &Cache = *Members[M];
+    Lanes[M] = {Cache.Tags.data(),
+                Cache.SetMisses.empty() ? nullptr : Cache.SetMisses.data(),
+                Cache.IndexMask};
+  }
+  const uint32_t Shift = Members[0]->BlockShift;
+  // FirstHit[S][D]: frames from source S whose first hit is member D (D ==
+  // NumMembers: no member hit). Members before D missed, D and later hit.
+  uint64_t FirstHit[NumAccessSources][MaxNestedMembers + 1] = {};
+  for (size_t I = 0; I != Count; ++I) {
+    const MemAccess &Acc = Batch[I];
+    uint64_t *BySource = FirstHit[static_cast<unsigned>(Acc.Source)];
+    // Same frame split as CacheSim::access.
+    const uint64_t First = Acc.Address >> Shift;
+    const uint64_t Last =
+        (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> Shift;
+    for (uint64_t Frame = First; Frame <= Last; ++Frame) {
+      const uint64_t TagPlusOne = Frame + 1;
+      size_t M = 0;
+      for (; M != NumMembers; ++M) {
+        const Lane &L = Lanes[M];
+        const uint32_t Set = static_cast<uint32_t>(Frame) & L.Mask;
+        uint64_t &Slot = L.Tags[Set];
+        if (Slot == TagPlusOne)
+          break;
+        Slot = TagPlusOne;
+        if (L.SetMisses)
+          ++L.SetMisses[Set];
+      }
+      ++BySource[M];
+    }
+  }
+  // Every member sees every frame; member M missed those whose first hit
+  // lies beyond it, a suffix sum over the first-hit counts.
+  uint64_t AccBySource[NumAccessSources] = {};
+  uint64_t Accesses = 0;
+  for (unsigned S = 0; S != NumAccessSources; ++S) {
+    for (size_t D = 0; D <= NumMembers; ++D)
+      AccBySource[S] += FirstHit[S][D];
+    Accesses += AccBySource[S];
+  }
+  uint64_t MissBySource[NumAccessSources] = {};
+  for (size_t M = NumMembers; M-- != 0;) {
+    uint64_t Misses = 0;
+    for (unsigned S = 0; S != NumAccessSources; ++S) {
+      MissBySource[S] += FirstHit[S][M + 1];
+      Misses += MissBySource[S];
+    }
+    Members[M]->foldBatchStats(Accesses, Misses, AccBySource, MissBySource);
+  }
+}
+
 bool DirectMappedCache::probe(uint64_t BlockFrame) {
   uint32_t Set = static_cast<uint32_t>(BlockFrame) & IndexMask;
   uint64_t TagPlusOne = BlockFrame + 1;
@@ -245,6 +314,22 @@ size_t CacheBank::addCache(const CacheConfig &SimConfig) {
     Caches.push_back(std::make_unique<DirectMappedCache>(SimConfig));
   else
     Caches.push_back(std::make_unique<SetAssocCache>(SimConfig));
+
+  // Re-plan the nested sweep: it needs two or more direct-mapped caches of
+  // one block size (distinct configs then have distinct set counts).
+  Nested.clear();
+  bool Nestable = Caches.size() >= 2;
+  for (const auto &Cache : Caches)
+    Nestable = Nestable && Cache->config().Assoc == 1 &&
+               Cache->config().BlockBytes == SimConfig.BlockBytes;
+  if (Nestable) {
+    for (const auto &Cache : Caches)
+      Nested.push_back(static_cast<DirectMappedCache *>(Cache.get()));
+    std::sort(Nested.begin(), Nested.end(),
+              [](const DirectMappedCache *A, const DirectMappedCache *B) {
+                return A->config().numSets() < B->config().numSets();
+              });
+  }
   return Caches.size() - 1;
 }
 
@@ -254,6 +339,15 @@ void CacheBank::access(const MemAccess &Acc) {
 }
 
 void CacheBank::accessBatch(const MemAccess *Batch, size_t Count) {
+  // A one-record batch (scalar delivery) gains nothing from the nested
+  // sweep's per-batch set-up; probing per cache there also makes the
+  // delivery-equivalence suite compare the nested sweep against per-cache
+  // simulation.
+  if (!Nested.empty() && Count > 1) {
+    DirectMappedCache::accessBatchNested(Nested.data(), Nested.size(), Batch,
+                                         Count);
+    return;
+  }
   for (auto &Cache : Caches)
     Cache->accessBatch(Batch, Count);
 }

@@ -10,7 +10,9 @@
 /// direct-mapped cache with 32-byte blocks; we additionally provide
 /// set-associative LRU caches as an extension, and a CacheBank that
 /// simulates many configurations from one reference stream in a single pass
-/// (how the paper produced its miss-rate-vs-cache-size curves).
+/// (how the paper produced its miss-rate-vs-cache-size curves). A bank of
+/// direct-mapped caches sharing one block size runs as one nested sweep,
+/// smallest cache first, stopping at the first hit.
 ///
 /// Misses are counted for both reads and writes (write-allocate); only the
 /// data stream is modeled — the paper assumes a 0% instruction-cache miss
@@ -161,6 +163,18 @@ public:
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
 private:
+  friend class CacheBank;
+
+  /// Nested sweep over \p Members, which must share one block size, be
+  /// ordered by strictly increasing set count, and have seen the same
+  /// reference stream since their last reset. Set-refinement inclusion then
+  /// makes a hit in one member a hit in every later one, and a hit changes
+  /// no state, so each frame probes members in order up to its first hit.
+  /// Bit-identical to calling accessBatch on every member.
+  static void accessBatchNested(DirectMappedCache *const *Members,
+                                size_t NumMembers, const MemAccess *Batch,
+                                size_t Count);
+
   bool probe(uint64_t BlockFrame) override;
   uint32_t setIndexOf(uint64_t BlockFrame) const override {
     return static_cast<uint32_t>(BlockFrame) & IndexMask;
@@ -232,22 +246,35 @@ public:
   /// first.
   size_t addCache(const CacheConfig &Config);
 
+  /// Probes every cache in index order (the scalar oracle the batched
+  /// path is checked against).
   void access(const MemAccess &Access) override;
 
-  /// Delivers the whole batch to each cache in turn (rather than each
-  /// access to every cache), so one cache's tag array stays hot for
-  /// hundreds of probes before the next cache's is touched.
+  /// A bank of two or more direct-mapped caches sharing one block size runs
+  /// batches of two or more records through the nested sweep
+  /// (DirectMappedCache::accessBatchNested): most frames hit the smallest
+  /// cache and touch one tag array instead of all of them. Otherwise the
+  /// whole batch goes to each cache in turn, so one cache's tag array stays
+  /// hot for hundreds of probes before the next cache's is touched.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   size_t size() const { return Caches.size(); }
   bool empty() const { return Caches.empty(); }
+  /// True when accessBatch runs multi-record batches through the nested
+  /// direct-mapped sweep.
+  bool usesNestedSweep() const { return !Nested.empty(); }
   const CacheSim &cache(size_t Index) const { return *Caches[Index]; }
   CacheSim &cache(size_t Index) { return *Caches[Index]; }
 
+  /// Resets every cache. The nested sweep relies on all members having
+  /// seen the same stream, so reset the bank as a whole.
   void resetAll();
 
 private:
   std::vector<std::unique_ptr<CacheSim>> Caches;
+  /// The direct-mapped members by increasing set count when the bank
+  /// qualifies for the nested sweep; empty otherwise.
+  std::vector<DirectMappedCache *> Nested;
 };
 
 /// Builds the paper's sweep: direct-mapped caches of 16K, 32K, ..., 256K

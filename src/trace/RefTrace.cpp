@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string>
 
@@ -21,6 +22,13 @@ constexpr char kindChar(AccessKind Kind) {
 }
 
 constexpr size_t BinaryRecordBytes = 6;
+
+std::string hexString(uint64_t Value) {
+  char Buffer[24];
+  std::snprintf(Buffer, sizeof(Buffer), "0x%llx",
+                static_cast<unsigned long long>(Value));
+  return Buffer;
+}
 
 void encodeBinaryRecord(const MemAccess &Access, unsigned char *Record) {
   Record[0] = static_cast<unsigned char>(Access.Address);
@@ -126,6 +134,14 @@ bool TextTraceReader::next(MemAccess &Access) {
     Access.Kind = AccessKind::Write;
   else
     reportFatalError("text trace: bad access kind '" + Kind + "'");
+  // Range-check before narrowing: a wider value must not be silently
+  // truncated into a different, valid-looking record.
+  if (Address > std::numeric_limits<Addr>::max())
+    reportFatalError("text trace: address " + hexString(Address) +
+                     " exceeds 32 bits");
+  if (Size > std::numeric_limits<uint8_t>::max())
+    reportFatalError("text trace: access size " + std::to_string(Size) +
+                     " exceeds 255 bytes");
   Access.Address = static_cast<Addr>(Address);
   Access.Size = static_cast<uint8_t>(Size);
   if (SourceName == "app")

@@ -17,43 +17,78 @@ PageSim::PageSim(uint32_t SimPageBytes, uint32_t SlotCapacity)
   if (SlotCapacity < 16)
     reportFatalError("slot capacity too small");
   PageShift = static_cast<uint32_t>(__builtin_ctz(PageBytes));
-  Tree.assign(SlotCapacity + 1, 0);
+  // Split the page number's bits evenly between the two radix levels, so
+  // neither the leaf pointer array nor one leaf exceeds 2^16 entries.
+  const uint32_t PageBits = 32 - PageShift;
+  LeafBits = (PageBits + 1) / 2;
+  Leaves.resize(size_t{1} << (PageBits - LeafBits));
+  resizeSlots(size_t{SlotCapacity} + 1);
 }
 
-void PageSim::fenwickAdd(uint32_t Slot, int Delta) {
-  for (uint32_t I = Slot; I < Tree.size(); I += I & (~I + 1))
-    Tree[I] = static_cast<uint32_t>(static_cast<int64_t>(Tree[I]) + Delta);
+uint32_t &PageSim::slotOf(uint32_t Page) {
+  std::unique_ptr<uint32_t[]> &Leaf = Leaves[Page >> LeafBits];
+  if (!Leaf)
+    Leaf = std::make_unique<uint32_t[]>(size_t{1} << LeafBits);
+  return Leaf[Page & ((uint32_t{1} << LeafBits) - 1)];
 }
 
-uint32_t PageSim::fenwickPrefix(uint32_t Slot) const {
-  uint32_t Sum = 0;
-  for (uint32_t I = Slot; I != 0; I -= I & (~I + 1))
-    Sum += Tree[I];
+void PageSim::resizeSlots(size_t NumSlots) {
+  SlotPage.resize(NumSlots);
+  LiveBits.assign((NumSlots + 63) / 64, 0);
+  WordTree.assign(LiveBits.size() + 1, 0);
+}
+
+void PageSim::markSlot(uint32_t Slot, bool Live) {
+  const uint64_t Bit = uint64_t{1} << (Slot & 63);
+  uint64_t &Word = LiveBits[Slot >> 6];
+  Word = Live ? (Word | Bit) : (Word & ~Bit);
+  const uint32_t Delta = Live ? 1 : ~uint32_t{0}; // +1 or -1 mod 2^32
+  for (size_t I = (Slot >> 6) + 1; I < WordTree.size(); I += I & (~I + 1))
+    WordTree[I] += Delta;
+}
+
+uint32_t PageSim::liveUpTo(uint32_t Slot) const {
+  const uint32_t WordIndex = Slot >> 6;
+  uint32_t Sum = static_cast<uint32_t>(__builtin_popcountll(
+      LiveBits[WordIndex] & (~uint64_t{0} >> (63 - (Slot & 63)))));
+  // WordTree[I] covers words [I - lowbit(I), I); sum the words below.
+  for (uint32_t I = WordIndex; I != 0; I -= I & (~I + 1))
+    Sum += WordTree[I];
   return Sum;
 }
 
 void PageSim::compact() {
-  // Renumber active slots 1..P preserving order.
-  std::vector<std::pair<uint32_t, uint64_t>> Order;
-  Order.reserve(LastSlot.size());
-  for (const auto &[Page, Slot] : LastSlot)
-    Order.emplace_back(Slot, Page);
-  std::sort(Order.begin(), Order.end());
-
-  // If the working set approaches the slot capacity, compaction alone
-  // cannot free enough slots; grow the tree.
-  if (2 * (Order.size() + 16) > Tree.size())
-    Tree.resize(2 * (Order.size() + 16));
-
-  std::fill(Tree.begin(), Tree.end(), 0);
-  uint32_t Slot = 0;
-  for (const auto &[OldSlot, Page] : Order) {
-    ++Slot;
-    LastSlot[Page] = Slot;
-    fenwickAdd(Slot, 1);
+  // Renumber live slots 1..P preserving order. A slot is live iff its page
+  // still maps back to it; a page's later touches left earlier slots stale.
+  uint32_t Live = 0;
+  for (uint32_t Old = 1; Old != NextSlot; ++Old) {
+    const uint32_t Page = SlotPage[Old];
+    uint32_t &Slot = slotOf(Page);
+    if (Slot != Old)
+      continue;
+    Slot = ++Live;
+    SlotPage[Live] = Page;
   }
-  NextSlot = Slot + 1;
-  assert(ActiveSlots == Slot && "active slot count diverged");
+  NextSlot = Live + 1;
+  assert(ActiveSlots == Live && "active slot count diverged");
+
+  // Keep at least half the slots free after compaction, so compactions
+  // stay amortized O(1) per reference as the working set grows.
+  size_t NumSlots = SlotPage.size();
+  while (2 * (size_t{Live} + 1) > NumSlots)
+    NumSlots *= 2;
+  resizeSlots(NumSlots);
+
+  // Slots 1..Live are live. Build the word tree in O(words): each node
+  // passes its finished sum on to its parent.
+  for (uint32_t Slot = 1; Slot <= Live; ++Slot)
+    LiveBits[Slot >> 6] |= uint64_t{1} << (Slot & 63);
+  for (size_t I = 1; I != WordTree.size(); ++I) {
+    WordTree[I] += static_cast<uint32_t>(__builtin_popcountll(LiveBits[I - 1]));
+    const size_t Parent = I + (I & (~I + 1));
+    if (Parent < WordTree.size())
+      WordTree[Parent] += WordTree[I];
+  }
 }
 
 void PageSim::attachTelemetry(Telemetry *Registry) {
@@ -95,24 +130,28 @@ void PageSim::access(const MemAccess &Acc) {
       ++ZeroDistanceHits;
       continue;
     }
-    if (NextSlot >= Tree.size())
+    if (NextSlot == SlotPage.size())
       compact();
 
-    auto [It, Inserted] = LastSlot.try_emplace(Page, 0);
-    if (Inserted) {
+    const uint32_t Page32 = static_cast<uint32_t>(Page);
+    uint32_t &Slot = slotOf(Page32);
+    if (Slot == 0) {
       ++ColdFaults;
+      DistanceCounts.push_back(0);
     } else {
-      uint32_t OldSlot = It->second;
       // Distance = number of distinct pages referenced after this page's
-      // previous access = active slots beyond OldSlot.
-      uint32_t Distance = ActiveSlots - fenwickPrefix(OldSlot);
-      DistanceHist.add(Distance);
-      fenwickAdd(OldSlot, -1);
+      // previous access = active slots beyond its slot. It is below the
+      // distinct-page count, the size of DistanceCounts.
+      const uint32_t Distance = ActiveSlots - liveUpTo(Slot);
+      assert(Distance != 0 && Distance < DistanceCounts.size() &&
+             "stack distance out of range");
+      ++DistanceCounts[Distance];
+      markSlot(Slot, false);
       --ActiveSlots;
     }
-    uint32_t Slot = NextSlot++;
-    It->second = Slot;
-    fenwickAdd(Slot, 1);
+    Slot = NextSlot++;
+    SlotPage[Slot] = Page32;
+    markSlot(Slot, true);
     ++ActiveSlots;
     MostRecentPage = Page;
     HaveRecent = true;
@@ -160,9 +199,9 @@ uint64_t PageSim::faults(uint64_t MemoryPages) const {
     return References;
   // Zero-distance re-references always hit for MemoryPages >= 1.
   uint64_t Faults = ColdFaults;
-  for (const auto &[Distance, Count] : DistanceHist)
-    if (Distance >= MemoryPages)
-      Faults += Count;
+  for (uint64_t Distance = MemoryPages; Distance < DistanceCounts.size();
+       ++Distance)
+    Faults += DistanceCounts[Distance];
   return Faults;
 }
 

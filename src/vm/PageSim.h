@@ -12,9 +12,17 @@
 /// memory size at once — which is how the paper draws fault-rate-vs-memory
 /// curves (Figures 2 and 3).
 ///
-/// Stack distances are computed with a Fenwick tree over access-time slots
-/// (O(log n) per reference) with periodic slot compaction so memory stays
-/// proportional to the number of distinct pages, not the trace length.
+/// Every page's most recent reference owns one access-time slot; a page's
+/// stack distance is the number of live slots after its own. Live slots are
+/// a bitmap, counted by popcount within a 64-slot word and by a Fenwick
+/// tree over the words (O(log n) per reference). Compaction renumbers the
+/// live slots 1..P in access order and doubles the slots whenever live
+/// pages pass half of them, so the bitmap, the tree, the slot->page array
+/// and the dense per-distance counts stay proportional to the number of
+/// distinct pages, not the trace length. The page->slot map is a two-level
+/// radix table over the 32-bit page number whose leaves are allocated on
+/// first touch, so it grows with the address ranges touched (one leaf per
+/// 2^LeafBits pages).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,10 +30,9 @@
 #define ALLOCSIM_VM_PAGESIM_H
 
 #include "mem/AccessSink.h"
-#include "support/Histogram.h"
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 namespace allocsim {
@@ -37,11 +44,10 @@ class TelemetryHistogram;
 class PageSim final : public AccessSink {
 public:
   /// \p PageBytes must be a power of two; the paper uses 4 KB pages.
-  /// \p SlotCapacity bounds the Fenwick tree between compactions; the
-  /// default suits production traces, tests shrink it to exercise
-  /// compaction.
-  explicit PageSim(uint32_t PageBytes = 4096,
-                   uint32_t SlotCapacity = 1u << 21);
+  /// \p SlotCapacity is the initial number of slots (at least 16); it
+  /// doubles at compaction as the working set grows. Tests shrink it to
+  /// exercise compaction and growth.
+  explicit PageSim(uint32_t PageBytes = 4096, uint32_t SlotCapacity = 1024);
 
   void access(const MemAccess &Access) override;
 
@@ -56,8 +62,8 @@ public:
   /// Number of references processed.
   uint64_t references() const { return References; }
 
-  /// Number of distinct pages ever touched.
-  uint64_t distinctPages() const { return LastSlot.size(); }
+  /// Number of distinct pages ever touched (each one cold-faulted once).
+  uint64_t distinctPages() const { return ColdFaults; }
 
   /// Number of page faults for an LRU-managed memory of \p MemoryPages
   /// resident pages. Cold (first-touch) faults are always included.
@@ -70,11 +76,6 @@ public:
   /// Fault rate with memory expressed in kilobytes, as the paper's figures
   /// plot it.
   double faultRateForMemoryKb(uint64_t MemoryKb) const;
-
-  /// The stack-distance histogram for distances >= 1 (distance = number of
-  /// distinct pages referenced since the previous reference to the same
-  /// page). Zero-distance re-references are counted separately.
-  const Histogram &distanceHistogram() const { return DistanceHist; }
 
   /// Re-references to the most recently used page (stack distance zero).
   uint64_t zeroDistanceHits() const { return ZeroDistanceHits; }
@@ -97,21 +98,39 @@ private:
   /// Per-page-touch run tracking for the run-length histogram.
   void noteRunPage(uint64_t Page, uint64_t Touches);
 
-  void fenwickAdd(uint32_t Slot, int Delta);
-  uint32_t fenwickPrefix(uint32_t Slot) const;
+  /// The page's most recent slot (1-based; 0 = never touched), allocating
+  /// its radix leaf on first touch.
+  uint32_t &slotOf(uint32_t Page);
+
+  /// Sizes the slot arrays to \p NumSlots slot numbers (slot 0 unused),
+  /// all dead.
+  void resizeSlots(size_t NumSlots);
+  /// Marks \p Slot live or dead in the bitmap and the word tree.
+  void markSlot(uint32_t Slot, bool Live);
+  /// Live slots numbered at most \p Slot.
+  uint32_t liveUpTo(uint32_t Slot) const;
   void compact();
 
   uint32_t PageBytes;
   uint32_t PageShift;
 
-  /// page-number -> most recent slot (1-based).
-  std::unordered_map<uint64_t, uint32_t> LastSlot;
-  /// Fenwick tree over slots; Tree[i] covers active-slot counts.
-  std::vector<uint32_t> Tree;
+  /// page-number -> most recent slot: Leaves[Page >> LeafBits] holds
+  /// 2^LeafBits slots, null until a page in its range is touched.
+  uint32_t LeafBits;
+  std::vector<std::unique_ptr<uint32_t[]>> Leaves;
+  /// slot -> page last given that slot (stale once the page moves on).
+  std::vector<uint32_t> SlotPage;
+  /// Bit S set iff slot S is some page's most recent slot.
+  std::vector<uint64_t> LiveBits;
+  /// Fenwick tree over LiveBits' words: live-slot counts, 1-based.
+  std::vector<uint32_t> WordTree;
   uint32_t NextSlot = 1;
   uint32_t ActiveSlots = 0;
 
-  Histogram DistanceHist;
+  /// DistanceCounts[D]: re-references at stack distance D >= 1 (distance =
+  /// distinct pages referenced since the previous reference to the same
+  /// page). Sized to distinctPages(), which bounds every distance.
+  std::vector<uint64_t> DistanceCounts;
   uint64_t ColdFaults = 0;
   uint64_t References = 0;
   uint64_t ZeroDistanceHits = 0;

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
+
 using namespace allocsim;
 
 namespace {
@@ -12,6 +17,84 @@ namespace {
 MemAccess read4(Addr Address,
                 AccessSource Source = AccessSource::Application) {
   return {Address, 4, AccessKind::Read, Source};
+}
+
+/// Seeded stream over a few hot regions (one just below 0xffffffe0, so
+/// frames reach the top block and some accesses wrap the 32-bit space),
+/// with all three sources and sizes up to 40 bytes that straddle blocks.
+std::vector<MemAccess> randomStream(uint64_t Seed, size_t Count) {
+  const Addr Bases[] = {HeapBase, HeapBase + 300 * 1024, StackBase,
+                        0xFFFFFFE0u - 64 * 1024};
+  std::vector<MemAccess> Stream;
+  uint64_t State = Seed;
+  for (size_t I = 0; I != Count; ++I) {
+    State = State * 6364136223846793005ull + 1442695040888963407ull;
+    const uint64_t Bits = State >> 16;
+    MemAccess Acc;
+    // Offsets up to 640K around a base: conflicts in every paper cache.
+    const Addr Offset = static_cast<Addr>((Bits >> 8) % (640 * 1024));
+    Acc.Address = Bases[Bits % 4] + Offset;
+    Acc.Size = static_cast<uint8_t>((Bits >> 40) % 8 == 0
+                                        ? 1 + (Bits >> 44) % 40
+                                        : 4);
+    Acc.Kind = (Bits >> 50) & 1 ? AccessKind::Write : AccessKind::Read;
+    Acc.Source = static_cast<AccessSource>((Bits >> 52) % NumAccessSources);
+    Stream.push_back(Acc);
+  }
+  return Stream;
+}
+
+std::unique_ptr<CacheSim> makeCache(const CacheConfig &Config) {
+  if (Config.Assoc == 1)
+    return std::make_unique<DirectMappedCache>(Config);
+  return std::make_unique<SetAssocCache>(Config);
+}
+
+/// Feeds \p Stream to a bank over \p Configs in uneven batches (with some
+/// scalar deliveries mixed in) and to standalone caches through scalar
+/// access(); every member's counters and set profile must agree.
+void expectBankMatchesScalar(const std::vector<CacheConfig> &Configs,
+                             const std::vector<MemAccess> &Stream,
+                             bool ExpectNested, bool Profile) {
+  CacheBank Bank;
+  std::vector<std::unique_ptr<CacheSim>> Oracle;
+  for (const CacheConfig &Config : Configs) {
+    size_t Index = Bank.addCache(Config);
+    Oracle.push_back(makeCache(Config));
+    if (Profile) {
+      Bank.cache(Index).enableSetProfile();
+      Oracle.back()->enableSetProfile();
+    }
+  }
+  EXPECT_EQ(Bank.usesNestedSweep(), ExpectNested);
+  for (const MemAccess &Acc : Stream)
+    for (auto &Cache : Oracle)
+      Cache->access(Acc);
+  size_t I = 0, Step = 0;
+  while (I != Stream.size()) {
+    const size_t Chunk =
+        std::min<size_t>(Stream.size() - I, 1 + Step * 37 % 300);
+    if (Step % 5 == 4) {
+      Bank.access(Stream[I]);
+      ++I;
+    } else {
+      Bank.accessBatch(Stream.data() + I, Chunk);
+      I += Chunk;
+    }
+    ++Step;
+  }
+  ASSERT_EQ(Bank.size(), Configs.size());
+  for (size_t M = 0; M != Configs.size(); ++M) {
+    SCOPED_TRACE(Configs[M].describe());
+    EXPECT_EQ(Bank.cache(M).config(), Configs[M]) << "index order kept";
+    const CacheStats &Got = Bank.cache(M).stats();
+    const CacheStats &Want = Oracle[M]->stats();
+    EXPECT_EQ(Got.Accesses, Want.Accesses);
+    EXPECT_EQ(Got.Misses, Want.Misses);
+    EXPECT_EQ(Got.AccessesBySource, Want.AccessesBySource);
+    EXPECT_EQ(Got.MissesBySource, Want.MissesBySource);
+    EXPECT_EQ(Bank.cache(M).setMissProfile(), Oracle[M]->setMissProfile());
+  }
 }
 
 } // namespace
@@ -360,4 +443,73 @@ TEST(CacheBankTest, MissRateMonotoneInCacheSizeForLoopWorkload) {
   for (size_t I = 1; I < Bank.size(); ++I)
     EXPECT_LE(Bank.cache(I).stats().missRate(),
               Bank.cache(I - 1).stats().missRate() + 1e-12);
+}
+
+TEST(CacheBankTest, NestedSweepMatchesScalarOnRandomStreams) {
+  for (uint64_t Seed : {1u, 42u, 20261017u})
+    for (bool Profile : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(Seed) +
+                   (Profile ? " profiled" : ""));
+      expectBankMatchesScalar(paperCacheSweep(), randomStream(Seed, 60000),
+                              /*ExpectNested=*/true, Profile);
+    }
+}
+
+TEST(CacheBankTest, NestedSweepKeepsInsertionOrderWhenAddedLargestFirst) {
+  std::vector<CacheConfig> Configs = paperCacheSweep();
+  std::reverse(Configs.begin(), Configs.end());
+  // Small caches, too, so the stream's reuse hits and misses everywhere.
+  Configs.push_back({1024, 32, 1});
+  Configs.insert(Configs.begin() + 2, {2048, 32, 1});
+  expectBankMatchesScalar(Configs, randomStream(7, 40000), true, true);
+}
+
+TEST(CacheBankTest, NestedSweepAtTheTopOfTheAddressSpace) {
+  // Every frame in the last 2K below 0xffffffff, including the top block
+  // 0xffffffe0 and accesses whose end wraps past it.
+  std::vector<MemAccess> Stream;
+  uint64_t State = 5;
+  for (int I = 0; I != 20000; ++I) {
+    State = State * 6364136223846793005ull + 1442695040888963407ull;
+    MemAccess Acc;
+    Acc.Address = 0xFFFFFFFFu - static_cast<Addr>((State >> 33) % 2048);
+    Acc.Size = static_cast<uint8_t>(1 + (State >> 20) % 64);
+    Acc.Source = static_cast<AccessSource>((State >> 40) % NumAccessSources);
+    Stream.push_back(Acc);
+  }
+  const std::vector<CacheConfig> Configs = {
+      {64, 32, 1}, {256, 32, 1}, {1024, 32, 1}, {16 * 1024, 32, 1}};
+  expectBankMatchesScalar(Configs, Stream, true, true);
+}
+
+TEST(CacheBankTest, BanksOutsideTheNestedSweepFallBack) {
+  const std::vector<MemAccess> Stream = randomStream(99, 30000);
+  // Mixed direct-mapped and set-associative.
+  expectBankMatchesScalar({{16 * 1024, 32, 1}, {64 * 1024, 32, 4}}, Stream,
+                          false, true);
+  // Mixed block sizes.
+  expectBankMatchesScalar({{16 * 1024, 32, 1}, {64 * 1024, 64, 1}}, Stream,
+                          false, false);
+  // A single cache.
+  expectBankMatchesScalar({{16 * 1024, 32, 1}}, Stream, false, true);
+  // Two caches of one block size at other than 32 bytes nest.
+  expectBankMatchesScalar({{16 * 1024, 16, 1}, {8 * 1024, 16, 1}}, Stream,
+                          true, false);
+}
+
+TEST(CacheBankTest, NestedSweepSurvivesResetAll) {
+  CacheBank Bank;
+  for (const CacheConfig &Config : paperCacheSweep())
+    Bank.addCache(Config);
+  const std::vector<MemAccess> Stream = randomStream(3, 5000);
+  Bank.accessBatch(Stream.data(), Stream.size());
+  std::vector<CacheStats> First;
+  for (size_t I = 0; I != Bank.size(); ++I)
+    First.push_back(Bank.cache(I).stats());
+  Bank.resetAll();
+  Bank.accessBatch(Stream.data(), Stream.size());
+  for (size_t I = 0; I != Bank.size(); ++I) {
+    EXPECT_EQ(Bank.cache(I).stats().Misses, First[I].Misses);
+    EXPECT_EQ(Bank.cache(I).stats().Accesses, First[I].Accesses);
+  }
 }

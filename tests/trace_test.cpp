@@ -65,6 +65,31 @@ TEST(RefTraceTest, BadMagicIsFatal) {
   EXPECT_DEATH({ BinaryTraceReader Reader(Buffer); }, "magic");
 }
 
+TEST(RefTraceTest, TextReaderAcceptsTheExtremesOfEachField) {
+  std::stringstream Buffer("W ffffffff 255 tag\n");
+  TextTraceReader Reader(Buffer);
+  MemAccess Got;
+  ASSERT_TRUE(Reader.next(Got));
+  EXPECT_TRUE(sameAccess(
+      Got, {0xffffffff, 255, AccessKind::Write, AccessSource::TagEmulation}));
+}
+
+TEST(RefTraceTest, TextReaderRejectsValuesThatWouldNarrow) {
+  // Regression: "R 1ffffff00 300 app" used to read back as address
+  // ffffff00, size 44.
+  auto ReadOne = [](const char *Line) {
+    std::stringstream Buffer(Line);
+    TextTraceReader Reader(Buffer);
+    MemAccess Got;
+    Reader.next(Got);
+  };
+  EXPECT_DEATH(ReadOne("R 1ffffff00 4 app\n"),
+               "text trace: address 0x1ffffff00 exceeds 32 bits");
+  EXPECT_DEATH(ReadOne("R 10000000 300 app\n"),
+               "text trace: access size 300 exceeds 255 bytes");
+  EXPECT_DEATH(ReadOne("R 1ffffff00 300 app\n"), "text trace: address");
+}
+
 TEST(RefTraceTest, ReplayIntoSink) {
   std::stringstream Buffer;
   {

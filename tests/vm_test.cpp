@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 using namespace allocsim;
@@ -16,6 +17,18 @@ void touchPage(PageSim &Sim, uint64_t Page) {
 }
 
 /// Reference LRU simulation: direct stack implementation.
+/// Seeded LCG page stream over \p Span pages starting at \p FirstPage.
+std::vector<uint64_t> randomPages(uint64_t Seed, size_t Count,
+                                  uint64_t FirstPage, uint64_t Span) {
+  std::vector<uint64_t> Pages;
+  uint64_t State = Seed;
+  for (size_t I = 0; I != Count; ++I) {
+    State = State * 6364136223846793005ull + 1442695040888963407ull;
+    Pages.push_back(FirstPage + (State >> 33) % Span);
+  }
+  return Pages;
+}
+
 uint64_t referenceLruFaults(const std::vector<uint64_t> &Pages,
                             uint64_t MemoryPages) {
   std::vector<uint64_t> Stack;
@@ -72,9 +85,9 @@ TEST(PageSimTest, StackDistanceDefinition) {
   touchPage(Sim, 2);
   touchPage(Sim, 3);
   touchPage(Sim, 1); // two distinct pages (2,3) since last touch of 1
-  const Histogram &Hist = Sim.distanceHistogram();
-  EXPECT_EQ(Hist.count(2), 1u);
-  EXPECT_EQ(Hist.total(), 1u);
+  // A distance-2 re-reference faults with two resident pages, not three.
+  EXPECT_EQ(Sim.faults(2) - Sim.faults(3), 1u);
+  EXPECT_EQ(Sim.faults(3), Sim.distinctPages()) << "no other re-fault";
 }
 
 TEST(PageSimTest, MatchesReferenceLruOnRandomTrace) {
@@ -160,4 +173,87 @@ TEST(PageSimTest, ZeroMemoryAlwaysFaults) {
   for (int I = 0; I < 8; ++I)
     touchPage(Sim, 3);
   EXPECT_EQ(Sim.faults(0), 8u);
+}
+
+TEST(PageSimTest, TopOfAddressSpace) {
+  // The highest pages of the 32-bit space index the last radix leaf; mix
+  // them with low pages and check against the brute-force stack.
+  const uint64_t TopPage = 0xFFFFFFFFull >> 12;
+  std::vector<uint64_t> Pages = randomPages(31, 4000, TopPage - 20, 21);
+  for (size_t I = 0; I < Pages.size(); I += 7)
+    Pages[I] = I % 3; // low pages interleaved
+  PageSim Sim;
+  for (uint64_t Page : Pages)
+    touchPage(Sim, Page);
+  for (uint64_t Memory : {1u, 2u, 5u, 12u, 23u, 24u, 30u})
+    EXPECT_EQ(Sim.faults(Memory), referenceLruFaults(Pages, Memory))
+        << "memory=" << Memory;
+  EXPECT_EQ(Sim.distinctPages(),
+            std::set<uint64_t>(Pages.begin(), Pages.end()).size());
+}
+
+TEST(PageSimTest, AccessesAtTheTopOfTheAddressSpace) {
+  // An access ending exactly at 0xffffffff touches the last page; one that
+  // would run past it wraps the 32-bit arithmetic to an empty page range,
+  // the same convention the cache engines' frame split follows. Scalar and
+  // batched delivery agree on both.
+  const std::vector<MemAccess> Stream = {
+      {0xFFFFFFFCu, 4, AccessKind::Read, AccessSource::Application},
+      {0xFFFFF000u, 4, AccessKind::Read, AccessSource::Application},
+      {0xFFFFFFFEu, 4, AccessKind::Write, AccessSource::Application},
+      {0x00000000u, 4, AccessKind::Read, AccessSource::Application},
+      {0xFFFFFFFFu, 1, AccessKind::Read, AccessSource::Application}};
+  PageSim Scalar, Batched;
+  for (const MemAccess &Acc : Stream)
+    Scalar.access(Acc);
+  Batched.accessBatch(Stream.data(), Stream.size());
+  for (const PageSim *Sim : {&Scalar, &Batched}) {
+    EXPECT_EQ(Sim->references(), 4u) << "the wrapping access touches none";
+    EXPECT_EQ(Sim->distinctPages(), 2u);
+    EXPECT_EQ(Sim->zeroDistanceHits(), 1u);
+    EXPECT_EQ(Sim->faults(1), 3u) << "cold, cold, re-fault at distance 1";
+    EXPECT_EQ(Sim->faults(2), 2u);
+  }
+}
+
+TEST(PageSimTest, SixtyFourBytePages) {
+  // Small pages give a 26-bit page number and a different radix split.
+  std::vector<uint64_t> Pages = randomPages(64, 5000, 0, 60);
+  for (uint64_t &Page : Pages)
+    Page += (Page % 2) ? (HeapBase >> 6) : (0xFFFFFFFFull >> 6) - 59;
+  PageSim Sim(64);
+  for (uint64_t Page : Pages)
+    Sim.access({static_cast<Addr>(Page << 6), 4, AccessKind::Read,
+                AccessSource::Application});
+  for (uint64_t Memory : {1u, 3u, 10u, 30u, 59u, 60u, 64u})
+    EXPECT_EQ(Sim.faults(Memory), referenceLruFaults(Pages, Memory))
+        << "memory=" << Memory;
+  EXPECT_EQ(Sim.distinctPages(),
+            std::set<uint64_t>(Pages.begin(), Pages.end()).size());
+  // Crossing a 64-byte boundary touches two pages.
+  PageSim Straddle(64);
+  Straddle.access({0x7E, 4, AccessKind::Read, AccessSource::Application});
+  EXPECT_EQ(Straddle.references(), 2u);
+}
+
+TEST(PageSimTest, GrowsFromTinyCapacityThroughRepeatedCompaction) {
+  // A 16-slot tree must compact and double many times as the working set
+  // widens phase by phase; distances must stay exact throughout.
+  std::vector<uint64_t> Pages;
+  for (uint64_t Span : {8u, 40u, 150u, 500u, 30u}) {
+    std::vector<uint64_t> Phase = randomPages(Span, 6000, 100, Span);
+    Pages.insert(Pages.end(), Phase.begin(), Phase.end());
+  }
+  PageSim Small(4096, 16), Big;
+  for (uint64_t Page : Pages) {
+    touchPage(Small, Page);
+    touchPage(Big, Page);
+  }
+  for (uint64_t Memory : {1u, 4u, 16u, 64u, 149u, 150u, 400u, 499u, 500u})
+    EXPECT_EQ(Small.faults(Memory), referenceLruFaults(Pages, Memory))
+        << "memory=" << Memory;
+  for (uint64_t Memory = 0; Memory <= 501; ++Memory)
+    ASSERT_EQ(Small.faults(Memory), Big.faults(Memory)) << Memory;
+  EXPECT_EQ(Small.distinctPages(), 500u);
+  EXPECT_EQ(Small.distinctPages(), Big.distinctPages());
 }
