@@ -23,18 +23,25 @@ const char *allocsim::checkLevelName(CheckLevel Level) {
   unreachable("unknown check level");
 }
 
-CheckLevel allocsim::parseCheckLevel(const std::string &Name) {
+bool allocsim::tryParseCheckLevel(const std::string &Name, CheckLevel &Level) {
   std::string Lower = Name;
   std::transform(Lower.begin(), Lower.end(), Lower.begin(),
                  [](unsigned char C) { return std::tolower(C); });
-  if (Lower == "off")
-    return CheckLevel::Off;
-  if (Lower == "fast")
-    return CheckLevel::Fast;
-  if (Lower == "full")
-    return CheckLevel::Full;
-  reportFatalError("unknown check level '" + Name +
-                   "' (expected off, fast, or full)");
+  for (CheckLevel Candidate :
+       {CheckLevel::Off, CheckLevel::Fast, CheckLevel::Full})
+    if (Lower == checkLevelName(Candidate)) {
+      Level = Candidate;
+      return true;
+    }
+  return false;
+}
+
+CheckLevel allocsim::parseCheckLevel(const std::string &Name) {
+  CheckLevel Level = CheckLevel::Off;
+  if (!tryParseCheckLevel(Name, Level))
+    reportFatalError("unknown check level '" + Name +
+                     "' (expected off, fast, or full)");
+  return Level;
 }
 
 HeapCheck::HeapCheck(const CheckPolicy &CheckedPolicy, SimHeap &CheckedHeap,

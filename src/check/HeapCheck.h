@@ -44,7 +44,11 @@ enum class CheckLevel {
 
 const char *checkLevelName(CheckLevel Level);
 
-/// Parses "off" / "fast" / "full" (case-insensitive); fatal on anything else.
+/// Parses "off" / "fast" / "full" (case-insensitive); false on anything
+/// else, leaving \p Level untouched.
+bool tryParseCheckLevel(const std::string &Name, CheckLevel &Level);
+
+/// Like tryParseCheckLevel, but fatal on anything else.
 CheckLevel parseCheckLevel(const std::string &Name);
 
 /// Configuration for a HeapCheck instance.

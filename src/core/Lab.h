@@ -113,8 +113,8 @@ struct ExperimentConfig {
   /// AccessBatch::MaxCapacity (the measurement default) instead of one
   /// record at a time. Every result is bit-identical either way —
   /// tests/pipeline_equivalence_test.cpp holds both paths to that — so this
-  /// knob exists for the equivalence suite and the throughput benchmark,
-  /// not for correctness tuning.
+  /// field is a test seam for the equivalence suites and the throughput
+  /// benchmarks, set in code; no CLI flag or matrix axis reaches it.
   bool BatchedDelivery = true;
 };
 

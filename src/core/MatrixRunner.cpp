@@ -6,6 +6,7 @@
 #include "support/Rng.h"
 #include "support/SpecParse.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -37,19 +38,12 @@ std::string validateCellConfig(const ExperimentConfig &Config) {
   for (const CacheConfig &Cache : Config.Caches)
     if (!Cache.valid())
       return "invalid cache geometry '" + Cache.describe() + "'";
-  // Duplicate geometries would double-count in sweep output; the cache
-  // layer treats them as fatal, so diagnose here where a cell can fail
-  // gracefully instead.
-  for (size_t I = 0; I != Config.Caches.size(); ++I)
-    for (size_t J = 0; J != I; ++J)
-      if (Config.Caches[J] == Config.Caches[I])
-        return "duplicate cache geometry '" + Config.Caches[I].describe() +
-               "'";
-  if (Config.CacheEngine == CacheEngineKind::StackDist) {
-    std::string Problem = describeStackFamilyProblem(Config.Caches);
-    if (!Problem.empty())
-      return "engine=stackdist: " + Problem;
-  }
+  // The cache layer treats duplicate geometries and stack-illegal families
+  // as fatal; diagnose here where a cell can fail gracefully instead.
+  DiagEngine BankDiags;
+  checkCacheBank(Config.Caches, Config.CacheEngine, BankDiags);
+  if (BankDiags.errorCount() != 0)
+    return BankDiags.firstError();
   if (Config.MissPenaltyCycles == 0)
     return "miss penalty must be positive";
   if (Config.Engine.Scale == 0)
@@ -120,38 +114,6 @@ void ResultStore::put(size_t Index, CellOutcome Outcome) {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-std::string jsonEscape(const std::string &Text) {
-  std::string Out;
-  Out.reserve(Text.size() + 2);
-  for (char C : Text) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buffer[8];
-        std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buffer;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 std::string jsonDouble(double Value) {
   char Buffer[40];
   std::snprintf(Buffer, sizeof(Buffer), "%.17g", Value);
@@ -219,7 +181,7 @@ void writeMatrixJson(std::ostream &OS, const MatrixSpec &Spec,
         Dropped += Cell.Result.DroppedEvents;
       }
     OS << "  \"faults\": {\n";
-    OS << "    \"plan\": \"" << jsonEscape(Plan.Spec) << "\",\n";
+    OS << "    \"plan\": \"" << jsonEscaped(Plan.Spec) << "\",\n";
     OS << "    \"seed\": " << Plan.Seed
        << ", \"retry_limit\": " << Plan.RetryLimit << ",\n";
     OS << "    \"injected\": " << Injected << ", \"detected\": " << Detected
@@ -236,7 +198,7 @@ void writeMatrixJson(std::ostream &OS, const MatrixSpec &Spec,
          << "\", \"penalty_cycles\": " << Cell.PenaltyCycles
          << ", \"attempts\": " << Cell.Attempts << ", \"errors\": [";
       for (size_t E = 0; E != Cell.AttemptErrors.size(); ++E)
-        OS << (E ? ", " : "") << '"' << jsonEscape(Cell.AttemptErrors[E])
+        OS << (E ? ", " : "") << '"' << jsonEscaped(Cell.AttemptErrors[E])
            << '"';
       OS << "]}";
       First = false;
@@ -254,7 +216,7 @@ void writeMatrixJson(std::ostream &OS, const MatrixSpec &Spec,
     OS << "\"seed\": " << Cell.Seed << ", ";
     OS << "\"ok\": " << (Cell.Ok ? "true" : "false");
     if (!Cell.Ok) {
-      OS << ", \"error\": \"" << jsonEscape(Cell.Error) << "\"}";
+      OS << ", \"error\": \"" << jsonEscaped(Cell.Error) << "\"}";
       continue;
     }
     const RunResult &R = Cell.Result;
@@ -483,8 +445,6 @@ CellOutcome runCell(const MatrixCell &Cell, const MatrixOptions &Options) {
     try {
       Outcome.Result = Options.CellRunnerEx
                            ? Options.CellRunnerEx(Cell.Config, Partial)
-                       : Options.CellRunner
-                           ? Options.CellRunner(Cell.Config)
                            : runExperiment(Cell.Config, &Partial);
       Outcome.Ok = true;
       return Outcome;
@@ -585,6 +545,10 @@ bool allocsim::parseCacheSpec(const std::string &Spec, CacheConfig &Config,
   uint32_t SizeKb = 0;
   if (!parseSpecUnsigned(Parts[0], "cache size (KB)", SizeKb, Error))
     return false;
+  if (SizeKb > UINT32_MAX / 1024) {
+    Error = "bad cache size (KB): '" + Parts[0] + "' is out of range";
+    return false;
+  }
   Config.SizeBytes = SizeKb * 1024;
   Config.BlockBytes = 32;
   Config.Assoc = 1;
@@ -604,121 +568,183 @@ bool allocsim::parseCacheSpec(const std::string &Spec, CacheConfig &Config,
   return true;
 }
 
-bool allocsim::parseCacheList(const std::string &Text,
-                              std::vector<CacheConfig> &Out,
-                              std::string &Error) {
-  Out.clear();
-  for (const std::string &Item : splitSpecList(Text, ',')) {
-    if (Item.empty()) {
-      Error = "bad cache list '" + Text +
-              "': empty item (stray or trailing comma)";
-      return false;
+void allocsim::checkCacheBank(const std::vector<CacheConfig> &Caches,
+                              CacheEngineKind Engine, DiagEngine &Diags,
+                              SourceLoc CachesLoc, SourceLoc EngineLoc) {
+  // Duplicate geometries would double-count in sweep output.
+  bool Duplicates = false;
+  for (size_t I = 0; I != Caches.size(); ++I)
+    if (std::find(Caches.begin(), Caches.begin() + I, Caches[I]) !=
+        Caches.begin() + I) {
+      Diags.error("spec-duplicate-cache", CachesLoc,
+                  "duplicate cache geometry '" + Caches[I].describe() + "'");
+      Duplicates = true;
     }
-    CacheConfig Config;
-    if (!parseCacheSpec(Item, Config, Error))
-      return false;
-    Out.push_back(Config);
+  if (Duplicates || Engine != CacheEngineKind::StackDist)
+    return;
+  std::string Problem = describeStackFamilyProblem(Caches);
+  if (!Problem.empty())
+    Diags.error("spec-bad-engine-family", EngineLoc,
+                "engine=stackdist: " + Problem);
+}
+
+namespace {
+
+/// Parses each comma-separated item of an axis value with \p ParseItem
+/// (which fills a T or an error message) into \p Out, reporting an empty
+/// or rejected item as \p Rule at its column. With \p WarnRepeats, a
+/// repeated item is kept but warned about as a duplicate matrix cell.
+template <typename T, typename Fn>
+void parseAxisItems(const std::string &Value, size_t ValueOffset,
+                    const std::string &What, const char *Rule,
+                    bool WarnRepeats, std::vector<T> &Out, DiagEngine &Diags,
+                    Fn ParseItem) {
+  Out.clear();
+  size_t Offset = ValueOffset;
+  for (const std::string &Item : splitSpecList(Value, ',')) {
+    SourceLoc Loc{1, static_cast<uint32_t>(Offset + 1)};
+    Offset += Item.size() + 1;
+    T Parsed{};
+    std::string Error;
+    if (Item.empty()) {
+      Error = "bad " + What + " list '" + Value +
+              "': empty item (stray or trailing comma)";
+    } else if (ParseItem(Item, Parsed, Error)) {
+      if (WarnRepeats && std::find(Out.begin(), Out.end(), Parsed) != Out.end())
+        Diags.warning("spec-duplicate-value", Loc,
+                      What + " '" + Item +
+                          "' listed twice (duplicate matrix cells)");
+      Out.push_back(Parsed);
+      continue;
+    }
+    Diags.error(Rule, Loc, Error);
+  }
+}
+
+/// The paging and penalty axes: positive 32-bit numbers.
+void parseNumberAxis(const std::string &Value, size_t ValueOffset,
+                     const std::string &What, std::vector<uint32_t> &Out,
+                     DiagEngine &Diags) {
+  parseAxisItems(Value, ValueOffset, What, "spec-bad-number", false, Out,
+                 Diags,
+                 [&](const std::string &Item, uint32_t &Number,
+                     std::string &Error) {
+                   return parseSpecUnsigned(Item, What, Number, Error);
+                 });
+}
+
+} // namespace
+
+bool allocsim::parseMatrixAxis(const std::string &Key,
+                               const std::string &Value, MatrixSpec &Spec,
+                               DiagEngine &Diags, size_t ValueOffset) {
+  SourceLoc ValueLoc{1, static_cast<uint32_t>(ValueOffset + 1)};
+  // Only a single-axis CLI flag can hand a required axis no items; the
+  // structural pass rejects "key=" in a spec.
+  if (Value.empty() &&
+      (Key == "workloads" || Key == "allocators" || Key == "penalty"))
+    Diags.error("spec-empty-value", ValueLoc,
+                "matrix axis '" + Key + "' must list at least one value");
+
+  if (Key == "workloads") {
+    parseAxisItems(Value, ValueOffset, "workload", "spec-unknown-workload",
+                   true, Spec.Workloads, Diags,
+                   [](const std::string &Name, WorkloadId &Id,
+                      std::string &Error) {
+                     Error = "unknown workload '" + Name + "' in matrix spec";
+                     return tryParseWorkload(Name, Id);
+                   });
+  } else if (Key == "allocators") {
+    parseAxisItems(Value, ValueOffset, "allocator", "spec-unknown-allocator",
+                   true, Spec.Allocators, Diags,
+                   [](const std::string &Name, AllocatorKind &Kind,
+                      std::string &Error) {
+                     Error = "unknown allocator '" + Name + "' in matrix spec";
+                     return tryParseAllocatorKind(Name, Kind);
+                   });
+  } else if (Key == "caches") {
+    parseAxisItems(Value, ValueOffset, "cache", "spec-bad-cache", false,
+                   Spec.Caches, Diags, parseCacheSpec);
+  } else if (Key == "paging") {
+    parseNumberAxis(Value, ValueOffset, "paging memory size (KB)",
+                    Spec.PagingMemoryKb, Diags);
+  } else if (Key == "penalty") {
+    parseNumberAxis(Value, ValueOffset, "miss penalty (cycles)",
+                    Spec.PenaltiesCycles, Diags);
+  } else if (Key == "telemetry") {
+    if (!tryParseTelemetryLevel(Value, Spec.Base.Telemetry))
+      Diags.error("spec-bad-value", ValueLoc,
+                  "bad matrix value 'telemetry=" + Value +
+                      "' (expected off, summary or full)");
+  } else if (Key == "engine") {
+    if (std::optional<CacheEngineKind> Engine = tryParseCacheEngine(Value))
+      Spec.Base.CacheEngine = *Engine;
+    else
+      Diags.error("spec-bad-value", ValueLoc,
+                  "bad matrix value 'engine=" + Value +
+                      "' (expected percfg or stackdist; results are "
+                      "bit-identical, stackdist simulates a shared-set-count "
+                      "cache family in one pass)");
+  } else {
+    return false;
   }
   return true;
 }
 
 bool allocsim::parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
-                               std::string &Error) {
+                               DiagEngine &Diags) {
+  size_t ErrorsBefore = Diags.errorCount();
   Spec.Workloads.clear();
   Spec.Allocators.clear();
   Spec.PenaltiesCycles = {25};
   Spec.Caches.clear();
   Spec.PagingMemoryKb.clear();
 
-  // Structural pass: axis shape, duplicate keys, empty values. The old
-  // parser silently accumulated duplicate list axes but last-write-won on
-  // scalar axes; both are now hard errors.
-  DiagEngine Diags;
-  std::vector<SpecKeyValue> Axes = parseSpecKeyValues(Text, Diags);
-  if (Diags.errorCount() != 0) {
-    Error = "bad matrix spec: " + Diags.firstError();
-    return false;
+  bool SawWorkloads = false, SawAllocators = false;
+  SourceLoc CachesLoc, EngineLoc;
+  for (const SpecKeyValue &Axis : parseSpecKeyValues(Text, Diags)) {
+    size_t ValueOffset = Axis.Offset + Axis.Key.size() + 1;
+    if (!parseMatrixAxis(Axis.Key, Axis.Value, Spec, Diags, ValueOffset))
+      Diags.error("spec-unknown-axis",
+                  {1, static_cast<uint32_t>(Axis.Offset + 1)},
+                  "unknown matrix axis '" + Axis.Key +
+                      "' (expected workloads/allocators/caches/paging/"
+                      "penalty/telemetry/engine)");
+    SourceLoc ValueLoc{1, static_cast<uint32_t>(ValueOffset + 1)};
+    SawWorkloads |= Axis.Key == "workloads";
+    SawAllocators |= Axis.Key == "allocators";
+    if (Axis.Key == "caches")
+      CachesLoc = ValueLoc;
+    else if (Axis.Key == "engine")
+      EngineLoc = ValueLoc;
   }
 
-  for (const SpecKeyValue &Axis : Axes) {
-    const std::string &Key = Axis.Key;
-    const std::string &Value = Axis.Value;
-    if (Key == "workloads") {
-      for (const std::string &Name : splitSpecList(Value, ',')) {
-        WorkloadId Id;
-        if (!tryParseWorkload(Name, Id)) {
-          Error = "unknown workload '" + Name + "' in matrix spec";
-          return false;
-        }
-        Spec.Workloads.push_back(Id);
-      }
-    } else if (Key == "allocators") {
-      for (const std::string &Name : splitSpecList(Value, ',')) {
-        AllocatorKind Kind;
-        if (!tryParseAllocatorKind(Name, Kind)) {
-          Error = "unknown allocator '" + Name + "' in matrix spec";
-          return false;
-        }
-        Spec.Allocators.push_back(Kind);
-      }
-    } else if (Key == "caches") {
-      if (!parseCacheList(Value, Spec.Caches, Error))
-        return false;
-    } else if (Key == "paging") {
-      if (!parseSpecUnsignedList(Value, "paging memory size (KB)",
-                                 Spec.PagingMemoryKb, Error))
-        return false;
-    } else if (Key == "penalty") {
-      if (!parseSpecUnsignedList(Value, "miss penalty (cycles)",
-                                 Spec.PenaltiesCycles, Error))
-        return false;
-      if (Spec.PenaltiesCycles.empty()) {
-        Error = "matrix axis 'penalty' must list at least one value";
-        return false;
-      }
-    } else if (Key == "telemetry") {
-      if (!tryParseTelemetryLevel(Value, Spec.Base.Telemetry)) {
-        Error = "bad matrix value 'telemetry=" + Value +
-                "' (expected off, summary or full)";
-        return false;
-      }
-    } else if (Key == "delivery") {
-      if (Value == "batched")
-        Spec.Base.BatchedDelivery = true;
-      else if (Value == "scalar")
-        Spec.Base.BatchedDelivery = false;
-      else {
-        Error = "bad matrix value 'delivery=" + Value +
-                "' (expected batched or scalar; results are bit-identical, "
-                "scalar exists for equivalence checks)";
-        return false;
-      }
-    } else if (Key == "engine") {
-      if (std::optional<CacheEngineKind> Engine = tryParseCacheEngine(Value))
-        Spec.Base.CacheEngine = *Engine;
-      else {
-        Error = "bad matrix value 'engine=" + Value +
-                "' (expected percfg or stackdist; results are bit-identical, "
-                "stackdist simulates a shared-set-count cache family in one "
-                "pass)";
-        return false;
-      }
-    } else {
-      Error = "unknown matrix axis '" + Key +
-              "' (expected workloads/allocators/caches/paging/penalty/"
-              "telemetry/delivery/engine)";
-      return false;
-    }
-  }
-  if (Spec.Workloads.empty()) {
-    Error = "matrix spec must name at least one workload "
-            "(workloads=gs,espresso,...)";
-    return false;
-  }
-  if (Spec.Allocators.empty()) {
-    Error = "matrix spec must name at least one allocator "
-            "(allocators=FirstFit,BSD,...)";
-    return false;
-  }
-  return true;
+  // An absent or fully-bad required axis means the workload x allocator
+  // cross-product is empty: nothing would run. Bad names already carry
+  // their own errors; this adds the empty-matrix finding.
+  if (Spec.Workloads.empty())
+    Diags.error("spec-missing-workloads", {},
+                SawWorkloads
+                    ? "no usable workload survives the 'workloads' axis; "
+                      "the cell cross-product is empty"
+                    : "matrix spec must name at least one workload "
+                      "(workloads=gs,espresso,...)");
+  if (Spec.Allocators.empty())
+    Diags.error("spec-missing-allocators", {},
+                SawAllocators
+                    ? "no usable allocator survives the 'allocators' axis; "
+                      "the cell cross-product is empty"
+                    : "matrix spec must name at least one allocator "
+                      "(allocators=FirstFit,BSD,...)");
+  checkCacheBank(Spec.Caches, Spec.Base.CacheEngine, Diags, CachesLoc,
+                 EngineLoc);
+  return Diags.errorCount() == ErrorsBefore;
+}
+
+bool allocsim::parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
+                               std::string &Error) {
+  DiagEngine Diags;
+  bool Ok = parseMatrixSpec(Text, Spec, Diags);
+  Error = Diags.firstError();
+  return Ok;
 }

@@ -42,6 +42,7 @@
 #define ALLOCSIM_CORE_MATRIXRUNNER_H
 
 #include "core/Lab.h"
+#include "support/Diag.h"
 
 #include <functional>
 #include <iosfwd>
@@ -190,12 +191,9 @@ struct MatrixOptions {
   unsigned Jobs = 0;
   /// Invoked (serialized under the runner's lock) after every cell.
   std::function<void(const MatrixProgress &)> Progress;
-  /// Cell execution seam; defaults to runExperiment. Tests inject throwing
-  /// runners to exercise the failure policy.
-  std::function<RunResult(const ExperimentConfig &)> CellRunner;
-  /// Like CellRunner, but the runner may fill the snapshot with partial
-  /// telemetry before throwing (the default runExperiment path does).
-  /// Takes precedence over CellRunner when both are set.
+  /// Cell execution seam; defaults to runExperiment. The runner may fill
+  /// the snapshot with partial telemetry before throwing (runExperiment
+  /// does). Tests inject throwing runners to exercise the failure policy.
   std::function<RunResult(const ExperimentConfig &, TelemetrySnapshot &)>
       CellRunnerEx;
 };
@@ -205,13 +203,28 @@ ResultStore runMatrix(const MatrixSpec &Spec,
                       const MatrixOptions &Options = {});
 
 /// Parses a cache spec "sizeKB[:blockBytes[:assoc]]" with diagnostics.
+/// A size whose byte count does not fit 32 bits is out of range.
 bool parseCacheSpec(const std::string &Spec, CacheConfig &Config,
                     std::string &Error);
 
-/// Parses a comma-separated cache-spec list; empty text yields an empty
-/// list; empty items and malformed geometries are errors.
-bool parseCacheList(const std::string &Text, std::vector<CacheConfig> &Out,
-                    std::string &Error);
+/// Reports what makes \p Caches unrunnable as one cell's cache bank under
+/// \p Engine: a repeated geometry (spec-duplicate-cache, at \p CachesLoc),
+/// or under engine=stackdist a family one stack pass cannot serve
+/// (spec-bad-engine-family, at \p EngineLoc). parseMatrixSpec rejects such
+/// specs with it; runMatrix fails the cells of specs built in code with it.
+void checkCacheBank(const std::vector<CacheConfig> &Caches,
+                    CacheEngineKind Engine, DiagEngine &Diags,
+                    SourceLoc CachesLoc = {}, SourceLoc EngineLoc = {});
+
+/// Parses the value of the matrix axis \p Key into \p Spec, reporting each
+/// bad item at its column on line 1 (\p ValueOffset is the value's 0-based
+/// offset in the spec text). List axes replace their Spec list; telemetry
+/// and engine set Spec.Base. allocsim_cli's single-axis flags call this
+/// with the flag's text. Returns false, reporting nothing, when \p Key
+/// names no axis.
+bool parseMatrixAxis(const std::string &Key, const std::string &Value,
+                     MatrixSpec &Spec, DiagEngine &Diags,
+                     size_t ValueOffset = 0);
 
 /// Parses the --matrix axis string:
 ///
@@ -220,10 +233,38 @@ bool parseCacheList(const std::string &Text, std::vector<CacheConfig> &Out,
 ///
 /// Axes are ';'-separated key=value pairs; workloads and allocators are
 /// required, caches/paging default to empty, penalty defaults to {25}.
-/// The scalar keys telemetry=off|summary|full, delivery=batched|scalar and
-/// engine=percfg|stackdist set the corresponding Spec.Base fields. Workload
-/// engine options (scale/seed/...) stay in Spec.Base and are not part of
-/// the axis string. Returns false with a diagnostic on malformed input.
+/// The scalar keys telemetry=off|summary|full and engine=percfg|stackdist
+/// set the corresponding Spec.Base fields. Workload engine options
+/// (scale/seed/...) stay in Spec.Base and are not part of the axis string.
+///
+/// Every finding is reported into \p Diags, with line 1 / column pointing
+/// into the spec string (E = error, W = warning):
+///
+///   spec-empty-axis         E  empty axis (stray or trailing ';')
+///   spec-missing-equals     E  axis without '=' or with an empty key
+///   spec-duplicate-axis     E  axis key given twice
+///   spec-empty-value        E  axis with an empty value ("workloads=")
+///   spec-unknown-axis       E  unrecognized axis key
+///   spec-unknown-workload   E  name tryParseWorkload rejects
+///   spec-unknown-allocator  E  name tryParseAllocatorKind rejects
+///   spec-bad-cache          E  cache geometry parseCacheSpec rejects
+///   spec-bad-number         E  bad paging/penalty entry
+///   spec-bad-value          E  bad telemetry/engine value
+///   spec-duplicate-value    W  workload/allocator listed twice (the matrix
+///                              would run duplicate cells)
+///   spec-missing-workloads  E  required 'workloads' axis absent or unusable
+///                              (the cross-product of cells would be empty)
+///   spec-missing-allocators E  likewise for 'allocators'
+///   spec-duplicate-cache    E  cache geometry listed twice
+///   spec-bad-engine-family  E  engine=stackdist over caches that do not
+///                              share one block size and set count
+///
+/// The first four are support/SpecParse.h's structural rules. Returns true
+/// when no error (warnings allowed) was added.
+bool parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
+                     DiagEngine &Diags);
+
+/// One-shot form: false with the first error's message.
 bool parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
                      std::string &Error);
 

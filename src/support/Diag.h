@@ -6,12 +6,12 @@
 ///
 /// \file
 /// The diagnostics engine shared by the static analyses (TraceLint over
-/// allocation-event scripts, the matrix-spec linter). Unlike the fatal
-/// reporting in support/Error.h — which is the right tool once a simulation
-/// is running on input that was promised to be sound — an analysis pass
-/// must report *every* problem it can find, with a stable machine-matchable
-/// rule id and a precise source location, and let the caller decide what an
-/// error is worth.
+/// allocation-event scripts, parseMatrixSpec over matrix specs). Unlike the
+/// fatal reporting in support/Error.h — which is the right tool once a
+/// simulation is running on input that was promised to be sound — an
+/// analysis pass must report *every* problem it can find, with a stable
+/// machine-matchable rule id and a precise source location, and let the
+/// caller decide what an error is worth.
 ///
 /// A Diag is (rule id, severity, line:column, message). DiagEngine collects
 /// them in report order and renders them two ways:

@@ -2,6 +2,7 @@
 
 #include "support/SpecParse.h"
 
+#include <cctype>
 #include <cstdlib>
 
 using namespace allocsim;
@@ -30,9 +31,10 @@ bool allocsim::parseSpecUnsigned(const std::string &Text,
     Error = "missing " + What;
     return false;
   }
+  // strtoul alone would accept leading blanks, '+' and a wrapped '-'.
   char *End = nullptr;
   unsigned long Parsed = std::strtoul(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0') {
+  if (!std::isdigit(static_cast<unsigned char>(Text[0])) || *End != '\0') {
     Error = "bad " + What + ": '" + Text + "' is not a number";
     return false;
   }
@@ -88,23 +90,4 @@ std::vector<SpecKeyValue> allocsim::parseSpecKeyValues(const std::string &Text,
       Axes.push_back(std::move(KV));
   }
   return Axes;
-}
-
-bool allocsim::parseSpecUnsignedList(const std::string &Text,
-                                     const std::string &What,
-                                     std::vector<uint32_t> &Values,
-                                     std::string &Error) {
-  Values.clear();
-  for (const std::string &Item : splitSpecList(Text, ',')) {
-    if (Item.empty()) {
-      Error = "bad " + What + " list '" + Text +
-              "': empty item (stray or trailing comma)";
-      return false;
-    }
-    uint32_t Value = 0;
-    if (!parseSpecUnsigned(Item, What, Value, Error))
-      return false;
-    Values.push_back(Value);
-  }
-  return true;
 }

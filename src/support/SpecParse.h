@@ -36,12 +36,6 @@ std::vector<std::string> splitSpecList(const std::string &Text, char Sep);
 bool parseSpecUnsigned(const std::string &Text, const std::string &What,
                        uint32_t &Value, std::string &Error);
 
-/// Parses a comma-separated list of positive integers (e.g. the --paging
-/// memory sizes). An empty \p Text yields an empty list. Empty items,
-/// trailing separators, and non-numeric items are errors.
-bool parseSpecUnsignedList(const std::string &Text, const std::string &What,
-                           std::vector<uint32_t> &Values, std::string &Error);
-
 /// One `key=value` axis of a semicolon-separated spec such as --matrix,
 /// with where its key starts in the original text (0-based; diagnostics
 /// render it as column Offset+1 on line 1 — specs are one-liners).
@@ -64,8 +58,8 @@ struct SpecKeyValue {
 ///
 /// Axes that parse cleanly (first occurrence on duplicates) are returned in
 /// spec order. Key *meaning* — known axis names, value syntax — is the
-/// caller's to check; parseMatrixSpec stops at the first error, the
-/// matrix-spec linter (analyze/SpecLint.h) reports all of them.
+/// caller's to check: parseMatrixSpec (core/MatrixRunner.h) and
+/// parseFaultPlan (inject/FaultPlan.h) report every such finding too.
 std::vector<SpecKeyValue> parseSpecKeyValues(const std::string &Text,
                                              DiagEngine &Diags);
 

@@ -67,6 +67,13 @@ TEST(CheckPolicyTest, LevelNamesRoundTrip) {
   for (CheckLevel Level :
        {CheckLevel::Off, CheckLevel::Fast, CheckLevel::Full})
     EXPECT_EQ(parseCheckLevel(checkLevelName(Level)), Level);
+
+  // The non-fatal form refuses without touching the level.
+  CheckLevel Level = CheckLevel::Fast;
+  EXPECT_FALSE(tryParseCheckLevel("paranoid", Level));
+  EXPECT_EQ(Level, CheckLevel::Fast);
+  EXPECT_TRUE(tryParseCheckLevel("Full", Level));
+  EXPECT_EQ(Level, CheckLevel::Full);
 }
 
 TEST(CheckPolicyDeathTest, UnknownLevelIsFatal) {

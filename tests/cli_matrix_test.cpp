@@ -26,6 +26,16 @@ using namespace allocsim;
 
 namespace {
 
+/// One list axis through the matrix grammar's axis parser, one-shot:
+/// false with the first error's message.
+bool parseAxis(const std::string &Key, const std::string &Text,
+               MatrixSpec &Spec, std::string &Error) {
+  DiagEngine Diags;
+  parseMatrixAxis(Key, Text, Spec, Diags);
+  Error = Diags.firstError();
+  return Diags.errorCount() == 0;
+}
+
 /// Runs the CLI with \p Args, discarding output; returns the exit status.
 int runCli(const std::string &Args) {
   std::string Command =
@@ -83,21 +93,30 @@ TEST(SpecParseTest, UnsignedDiagnostics) {
   EXPECT_FALSE(
       parseSpecUnsigned("99999999999", "memory size (KB)", Value, Error));
   EXPECT_NE(Error.find("out of range"), std::string::npos);
+
+  // strtoul would wrap a negative number around (this one to 1) and skip
+  // a sign or leading blanks.
+  for (const char *Text : {"-18446744073709551615", "-1", "+5", " 5"}) {
+    EXPECT_FALSE(parseSpecUnsigned(Text, "memory size (KB)", Value, Error))
+        << Text;
+    EXPECT_NE(Error.find("not a number"), std::string::npos) << Text;
+  }
 }
 
 TEST(SpecParseTest, UnsignedListDiagnostics) {
-  std::vector<uint32_t> Values;
+  MatrixSpec Spec;
+  std::vector<uint32_t> &Values = Spec.PagingMemoryKb;
   std::string Error;
-  EXPECT_TRUE(parseSpecUnsignedList("", "KB", Values, Error));
+  EXPECT_TRUE(parseAxis("paging", "", Spec, Error));
   EXPECT_TRUE(Values.empty());
-  EXPECT_TRUE(parseSpecUnsignedList("512,1024,2048", "KB", Values, Error));
+  EXPECT_TRUE(parseAxis("paging", "512,1024,2048", Spec, Error));
   EXPECT_EQ(Values.size(), 3u);
 
-  EXPECT_FALSE(parseSpecUnsignedList("512,,1024", "KB", Values, Error));
+  EXPECT_FALSE(parseAxis("paging", "512,,1024", Spec, Error));
   EXPECT_NE(Error.find("empty item"), std::string::npos);
-  EXPECT_FALSE(parseSpecUnsignedList("512,", "KB", Values, Error));
+  EXPECT_FALSE(parseAxis("paging", "512,", Spec, Error));
   EXPECT_NE(Error.find("empty item"), std::string::npos);
-  EXPECT_FALSE(parseSpecUnsignedList("512,slow", "KB", Values, Error));
+  EXPECT_FALSE(parseAxis("paging", "512,slow", Spec, Error));
   EXPECT_NE(Error.find("slow"), std::string::npos);
 }
 
@@ -121,13 +140,19 @@ TEST(SpecParseTest, CacheSpecDiagnostics) {
   EXPECT_NE(Error.find("invalid cache geometry"), std::string::npos);
   EXPECT_FALSE(parseCacheSpec("16:33", Config, Error));
   EXPECT_NE(Error.find("invalid cache geometry"), std::string::npos);
+  // 4194320 KB is 16 KB past 2^32 bytes: out of range, not a 16K cache.
+  EXPECT_FALSE(parseCacheSpec("4194320", Config, Error));
+  EXPECT_NE(Error.find("out of range"), std::string::npos);
+  EXPECT_TRUE(parseCacheSpec("2097152", Config, Error)) << Error;
+  EXPECT_EQ(Config.SizeBytes, 2048u * 1024 * 1024);
 
-  std::vector<CacheConfig> Caches;
-  EXPECT_TRUE(parseCacheList("", Caches, Error));
+  MatrixSpec Spec;
+  std::vector<CacheConfig> &Caches = Spec.Caches;
+  EXPECT_TRUE(parseAxis("caches", "", Spec, Error));
   EXPECT_TRUE(Caches.empty());
-  EXPECT_TRUE(parseCacheList("16,64:32:2", Caches, Error));
+  EXPECT_TRUE(parseAxis("caches", "16,64:32:2", Spec, Error));
   EXPECT_EQ(Caches.size(), 2u);
-  EXPECT_FALSE(parseCacheList("16,", Caches, Error));
+  EXPECT_FALSE(parseAxis("caches", "16,", Spec, Error));
   EXPECT_NE(Error.find("empty item"), std::string::npos);
 }
 
@@ -152,6 +177,29 @@ TEST(CliMatrixTest, MalformedSpecsExitNonzeroWithDiagnostic) {
       {"--allocators FirstFit,Nope", "unknown allocator"},
       {"--matrix workloads=gs", "at least one allocator"},
       {"--matrix \"workloads=gs;allocators=BSD;caches=16,\"", "empty item"},
+      {"--caches 4194320", "out of range"},
+      {"--matrix \"workloads=make;allocators=BSD;caches=4194320\"",
+       "out of range"},
+      // What would fail every cell is refused before the run.
+      {"--matrix \"workloads=make;allocators=BSD;caches=16,16\"",
+       "duplicate cache geometry"},
+      {"--matrix \"workloads=make;allocators=BSD;caches=16,32;"
+       "engine=stackdist\"",
+       "engine=stackdist"},
+      {"--caches 16,16", "duplicate cache geometry"},
+      {"--matrix \"workloads=gs;allocators=BSD;delivery=scalar\"",
+       "unknown matrix axis"},
+      // Integer and enum flags: range-checked on their target types.
+      {"--scale 4294967297", "bad --scale"},
+      {"--scale -1", "bad --scale"},
+      {"--scale abc", "bad --scale"},
+      {"--scale 0", "bad --scale"},
+      {"--jobs -1", "bad --jobs"},
+      {"--check-interval 4294967296", "bad --check-interval"},
+      {"--conform=true --conform-scale x", "bad --conform-scale"},
+      {"--seed 0x1ffffffffffffffff", "bad --seed"},
+      {"--seed -1", "bad --seed"},
+      {"--check bogus", "bad --check"},
   };
   for (const BadInvocation &Invocation : Bad) {
     std::string Output;
@@ -162,6 +210,8 @@ TEST(CliMatrixTest, MalformedSpecsExitNonzeroWithDiagnostic) {
     EXPECT_NE(Output.find(Invocation.ExpectInMessage), std::string::npos)
         << Invocation.Args << "\n" << Output;
   }
+  // Delivery mode is a test seam, not a flag.
+  EXPECT_EQ(runCli("--delivery scalar"), 2);
 }
 
 TEST(CliMatrixTest, GoodRunEmitsParseableJsonAndExitsZero) {

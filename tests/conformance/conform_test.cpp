@@ -4,7 +4,7 @@
 //
 // Unit tests for the conformance engine's pieces in isolation: metric
 // extraction, the declarative assertion checkers evaluated against
-// *fabricated* result stores (via the MatrixRunner's CellRunner seam, so no
+// *fabricated* result stores (via the MatrixRunner's CellRunnerEx seam, so no
 // simulation runs), the expectation-file round trip and band semantics, and
 // the JSON reader those files depend on. The deliberate-break tests pin the
 // core acceptance property: an inverted ordering or a broken monotone trend
@@ -76,7 +76,10 @@ RunResult fabricatedResult(const ExperimentConfig &Config) {
 ResultStore fabricatedStore() {
   MatrixOptions Options;
   Options.Jobs = 1;
-  Options.CellRunner = fabricatedResult;
+  Options.CellRunnerEx = [](const ExperimentConfig &Config,
+                            TelemetrySnapshot &) {
+    return fabricatedResult(Config);
+  };
   return runMatrix(fabricatedSpec(), Options);
 }
 
@@ -279,7 +282,10 @@ TEST(TrendCheck, PairComparesAcrossMatrices) {
   Tagged.Base.EmulateBoundaryTags = true;
   MatrixOptions Options;
   Options.Jobs = 1;
-  Options.CellRunner = fabricatedResult;
+  Options.CellRunnerEx = [](const ExperimentConfig &Config,
+                            TelemetrySnapshot &) {
+    return fabricatedResult(Config);
+  };
   ResultStore TaggedStore = runMatrix(Tagged, Options);
 
   StoreMap Stores{{"plain", &Store}, {"tagged", &TaggedStore}};

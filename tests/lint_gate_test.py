@@ -109,6 +109,20 @@ class DiagnosticFormatTest(LintGateTestCase):
         code, out = run_lint("--matrix", "workloads=gs;allocators=BSD")
         self.assertEqual(code, 0, out)
 
+    def test_spec_that_would_fail_every_cell_lints_dirty(self):
+        code, out = run_lint(
+            "--matrix", "workloads=gs;allocators=BSD;caches=16,16"
+        )
+        self.assertEqual(code, 1, out)
+        self.assertIn("--matrix:1:36: error:", out)
+        self.assertIn("[spec-duplicate-cache]", out)
+        code, out = run_lint(
+            "--matrix",
+            "workloads=gs;allocators=BSD;caches=16,32;engine=stackdist",
+        )
+        self.assertEqual(code, 1, out)
+        self.assertIn("[spec-bad-engine-family]", out)
+
 
 class JsonReportTest(LintGateTestCase):
     def lint_json(self, *args):

@@ -200,7 +200,8 @@ TEST(MatrixRunnerTest, CoordinateLookupMatchesLinearOrder) {
   Options.Jobs = 4;
   // Synthetic runner: encode the coordinates into counters so at() can be
   // checked without paying for real simulations.
-  Options.CellRunner = [](const ExperimentConfig &Config) {
+  Options.CellRunnerEx = [](const ExperimentConfig &Config,
+                            TelemetrySnapshot &) {
     RunResult Result;
     Result.TotalRefs = static_cast<uint64_t>(Config.Workload) * 10000 +
                        static_cast<uint64_t>(Config.Allocator) * 100 +
@@ -223,7 +224,8 @@ TEST(MatrixRunnerTest, FailedCellIsAttributedAndOthersComplete) {
   MatrixSpec Spec = smallSpec();
   MatrixOptions Options;
   Options.Jobs = 8;
-  Options.CellRunner = [](const ExperimentConfig &Config) -> RunResult {
+  Options.CellRunnerEx = [](const ExperimentConfig &Config,
+                            TelemetrySnapshot &) -> RunResult {
     if (Config.Workload == WorkloadId::Make &&
         Config.Allocator == AllocatorKind::QuickFit &&
         Config.MissPenaltyCycles == 100)
@@ -317,7 +319,9 @@ TEST(MatrixRunnerTest, WorkerFaultsExhaustRetriesIntoQuarantine) {
 
   MatrixOptions Options;
   Options.Jobs = 4;
-  Options.CellRunner = [](const ExperimentConfig &) { return RunResult(); };
+  Options.CellRunnerEx = [](const ExperimentConfig &, TelemetrySnapshot &) {
+    return RunResult();
+  };
   ResultStore Store = runMatrix(Spec, Options);
   EXPECT_EQ(Store.failedCount(), Store.size());
   for (size_t I = 0; I != Store.size(); ++I) {
@@ -350,8 +354,8 @@ TEST(MatrixRunnerTest, RetryOutcomesAreIdenticalAtAnyJobCount) {
   MatrixOptions Serial, Parallel;
   Serial.Jobs = 1;
   Parallel.Jobs = 8;
-  Serial.CellRunner = Parallel.CellRunner =
-      [](const ExperimentConfig &) { return RunResult(); };
+  Serial.CellRunnerEx = Parallel.CellRunnerEx =
+      [](const ExperimentConfig &, TelemetrySnapshot &) { return RunResult(); };
   ResultStore A = runMatrix(Spec, Serial);
   ResultStore B = runMatrix(Spec, Parallel);
   ASSERT_EQ(A.size(), B.size());
@@ -385,7 +389,9 @@ TEST(MatrixRunnerTest, NoPlanMeansNoFaultMachinery) {
   ASSERT_FALSE(Spec.Base.Inject.enabled());
   MatrixOptions Options;
   Options.Jobs = 2;
-  Options.CellRunner = [](const ExperimentConfig &) { return RunResult(); };
+  Options.CellRunnerEx = [](const ExperimentConfig &, TelemetrySnapshot &) {
+    return RunResult();
+  };
   ResultStore Store = runMatrix(Spec, Options);
   for (size_t I = 0; I != Store.size(); ++I) {
     EXPECT_EQ(Store.cell(I).Attempts, 1u);
@@ -402,7 +408,8 @@ TEST(MatrixRunnerTest, InvalidGeometryFailsValidationNotTheProcess) {
   MatrixOptions Options;
   Options.Jobs = 2;
   bool RunnerCalled = false;
-  Options.CellRunner = [&RunnerCalled](const ExperimentConfig &) {
+  Options.CellRunnerEx = [&RunnerCalled](const ExperimentConfig &,
+                                         TelemetrySnapshot &) {
     RunnerCalled = true;
     return RunResult();
   };
@@ -418,7 +425,9 @@ TEST(MatrixRunnerTest, ProgressReportingCoversEveryCell) {
   MatrixSpec Spec = smallSpec();
   MatrixOptions Options;
   Options.Jobs = 8;
-  Options.CellRunner = [](const ExperimentConfig &) { return RunResult(); };
+  Options.CellRunnerEx = [](const ExperimentConfig &, TelemetrySnapshot &) {
+    return RunResult();
+  };
   size_t Calls = 0, LastCompleted = 0;
   Options.Progress = [&](const MatrixProgress &Progress) {
     // The callback is serialized, so Completed must be strictly

@@ -1,17 +1,16 @@
-//===- tests/tracelint_test.cpp - TraceLint/SpecLint rule tests -----------===//
+//===- tests/tracelint_test.cpp - TraceLint/spec rule tests ---------------===//
 //
 // Per-rule unit tests for the static analyses: every TraceLint rule id
 // fires on a handcrafted bad script with the correct line (and column for
-// syntax rules), every SpecLint rule fires on a handcrafted bad matrix
-// spec, analysis is exhaustive (all defects reported, not just the first),
-// and the lifetime IR and static predictions are exact on hand-computed
-// examples. Rule ids are contract: a rename here is a breaking change for
-// CI annotations and downstream automation.
+// syntax rules), every parseMatrixSpec rule fires on a handcrafted bad
+// matrix spec, analysis is exhaustive (all defects reported, not just the
+// first), and the lifetime IR and static predictions are exact on
+// hand-computed examples. Rule ids are contract: a rename here is a
+// breaking change for CI annotations and downstream automation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analyze/LintReport.h"
-#include "analyze/SpecLint.h"
 #include "analyze/TraceLint.h"
 #include "core/MatrixRunner.h"
 #include "support/SpecParse.h"
@@ -30,6 +29,12 @@ std::vector<LocatedAllocEvent> lintText(const std::string &Text,
                                         DiagEngine &Diags) {
   std::istringstream IS(Text);
   return lintTraceScript(IS, Diags);
+}
+
+/// Parses a matrix spec for its findings alone.
+void lintSpec(const std::string &Text, DiagEngine &Diags) {
+  MatrixSpec Spec;
+  parseMatrixSpec(Text, Spec, Diags);
 }
 
 /// True if a finding with \p Rule exists at \p Line (0 = any line).
@@ -320,22 +325,28 @@ TEST(MatrixSpecParseTest, CleanSpecStillParses) {
 }
 
 //===----------------------------------------------------------------------===//
-// SpecLint
+// Matrix-spec findings (parseMatrixSpec's diagnosing form)
 //===----------------------------------------------------------------------===//
 
 TEST(SpecLintTest, CleanSpec) {
   DiagEngine Diags;
-  lintMatrixSpec("workloads=gs;allocators=BSD,FirstFit;caches=16:32:2;"
-                 "paging=512;penalty=25;telemetry=full;delivery=scalar",
-                 Diags);
+  lintSpec("workloads=gs;allocators=BSD,FirstFit;caches=16:32:2;"
+           "paging=512;penalty=25;telemetry=full",
+           Diags);
   EXPECT_TRUE(Diags.clean());
+
+  // Delivery mode is a test seam, not a matrix axis.
+  DiagEngine Delivery;
+  lintSpec("workloads=gs;allocators=BSD;delivery=scalar", Delivery);
+  EXPECT_TRUE(hasRule(Delivery, "spec-unknown-axis", 1, 29));
+  EXPECT_EQ(Delivery.errorCount(), 1u);
 }
 
 TEST(SpecLintTest, ReportsEveryProblem) {
   DiagEngine Diags;
-  lintMatrixSpec("workloads=gs,bogus,gs;allocators=BSD;caches=17;"
-                 "penalty=0;planets=mars;telemetry=loud",
-                 Diags);
+  lintSpec("workloads=gs,bogus,gs;allocators=BSD;caches=17;"
+           "penalty=0;planets=mars;telemetry=loud",
+           Diags);
   EXPECT_TRUE(hasRule(Diags, "spec-unknown-workload", 1, 14));
   EXPECT_TRUE(hasRule(Diags, "spec-duplicate-value", 1, 20));
   EXPECT_TRUE(hasRule(Diags, "spec-bad-cache"));
@@ -348,14 +359,14 @@ TEST(SpecLintTest, ReportsEveryProblem) {
 
 TEST(SpecLintTest, MissingRequiredAxes) {
   DiagEngine Diags;
-  lintMatrixSpec("caches=16", Diags);
+  lintSpec("caches=16", Diags);
   EXPECT_TRUE(hasRule(Diags, "spec-missing-workloads"));
   EXPECT_TRUE(hasRule(Diags, "spec-missing-allocators"));
 }
 
 TEST(SpecLintTest, EmptyCrossProductWhenNoNameSurvives) {
   DiagEngine Diags;
-  lintMatrixSpec("workloads=bogus;allocators=BSD", Diags);
+  lintSpec("workloads=bogus;allocators=BSD", Diags);
   EXPECT_TRUE(hasRule(Diags, "spec-unknown-workload"));
   EXPECT_TRUE(hasRule(Diags, "spec-missing-workloads"));
   EXPECT_FALSE(hasRule(Diags, "spec-missing-allocators"));
@@ -363,28 +374,78 @@ TEST(SpecLintTest, EmptyCrossProductWhenNoNameSurvives) {
 
 TEST(SpecLintTest, UnknownAllocator) {
   DiagEngine Diags;
-  lintMatrixSpec("workloads=gs;allocators=BSD,NotReal", Diags);
+  lintSpec("workloads=gs;allocators=BSD,NotReal", Diags);
   EXPECT_TRUE(hasRule(Diags, "spec-unknown-allocator", 1, 29));
 }
 
+TEST(SpecLintTest, CellBankErrorsAreSpecErrors) {
+  // What would fail every cell at run time is a spec finding, located at
+  // the axis value that causes it.
+  DiagEngine Dup;
+  lintSpec("workloads=make;allocators=BSD;caches=16,16", Dup);
+  EXPECT_TRUE(hasRule(Dup, "spec-duplicate-cache", 1, 38));
+  EXPECT_EQ(Dup.errorCount(), 1u);
+
+  DiagEngine Family;
+  lintSpec("workloads=make;allocators=BSD;caches=16,32;engine=stackdist",
+           Family);
+  EXPECT_TRUE(hasRule(Family, "spec-bad-engine-family", 1, 51));
+  EXPECT_EQ(Family.errorCount(), 1u);
+
+  // A stack-legal family (one set count, varying associativity) is clean.
+  DiagEngine Legal;
+  lintSpec("workloads=make;allocators=BSD;caches=16,32:32:2;"
+           "engine=stackdist",
+           Legal);
+  EXPECT_TRUE(Legal.clean());
+
+  // A cache whose byte count overflows 32 bits is out of range, not a
+  // wrapped-around small cache.
+  DiagEngine Overflow;
+  lintSpec("workloads=make;allocators=BSD;caches=4194320", Overflow);
+  EXPECT_TRUE(hasRule(Overflow, "spec-bad-cache", 1, 38));
+  ASSERT_EQ(Overflow.errorCount(), 1u);
+  EXPECT_NE(Overflow.firstError().find("out of range"), std::string::npos);
+}
+
 TEST(SpecLintTest, AgreesWithParseMatrixSpec) {
-  // A spec lints clean iff parseMatrixSpec accepts it.
-  const char *Specs[] = {
-      "workloads=gs;allocators=BSD",
-      "workloads=gs,espresso;allocators=FirstFit,BSD;caches=16,64",
-      "workloads=gs;allocators=BSD;workloads=es", // duplicate axis
-      "workloads=gs",                             // missing allocators
-      "workloads=gs;allocators=",                 // empty value
-      "workloads=gs;allocators=BSD;caches=16,,64",
-      "workloads=gs;allocators=BSD;junk=1",
+  // The diagnosing and one-shot forms agree, and a spec that parses clean
+  // also runs clean: none of its cells fails validation.
+  struct Case {
+    const char *Text;
+    bool Clean;
   };
-  for (const char *Text : Specs) {
+  const Case Cases[] = {
+      {"workloads=gs;allocators=BSD", true},
+      {"workloads=gs,espresso;allocators=FirstFit,BSD;caches=16,64", true},
+      {"workloads=gs;allocators=BSD;workloads=es", false}, // duplicate axis
+      {"workloads=gs", false},                             // no allocators
+      {"workloads=gs;allocators=", false},                 // empty value
+      {"workloads=gs;allocators=BSD;caches=16,,64", false},
+      {"workloads=gs;allocators=BSD;junk=1", false},
+      {"workloads=gs;allocators=BSD;caches=4194320", false}, // overflow
+      {"workloads=gs;allocators=BSD;caches=16,16", false},   // duplicate
+      {"workloads=gs;allocators=BSD;caches=16,32;engine=stackdist", false},
+      {"workloads=gs;allocators=BSD;delivery=scalar", false},
+  };
+  for (const Case &C : Cases) {
     DiagEngine Diags;
-    lintMatrixSpec(Text, Diags);
+    MatrixSpec Linted;
+    bool Clean = parseMatrixSpec(C.Text, Linted, Diags);
+    EXPECT_EQ(Clean, Diags.errorCount() == 0) << C.Text;
+    EXPECT_EQ(Clean, C.Clean) << C.Text;
     MatrixSpec Spec;
     std::string Error;
-    EXPECT_EQ(Diags.errorCount() == 0, parseMatrixSpec(Text, Spec, Error))
-        << "disagreement on '" << Text << "': " << Error;
+    EXPECT_EQ(Clean, parseMatrixSpec(C.Text, Spec, Error))
+        << "disagreement on '" << C.Text << "': " << Error;
+    EXPECT_EQ(Error, Diags.firstError()) << C.Text;
+    if (!Clean)
+      continue;
+    MatrixOptions Options;
+    Options.CellRunnerEx = [](const ExperimentConfig &, TelemetrySnapshot &) {
+      return RunResult();
+    };
+    EXPECT_EQ(runMatrix(Spec, Options).failedCount(), 0u) << C.Text;
   }
 }
 

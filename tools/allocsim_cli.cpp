@@ -20,14 +20,15 @@
 //
 // --lint / --lint-json check the --matrix spec exhaustively (every problem
 // reported, not just the first) and exit without running anything: 0 when
-// the spec is clean, 1 when findings were reported, 2 on bad usage.
+// the spec is clean, 1 when findings were reported, 2 on bad usage. A run
+// checks its spec, or its single-axis flags, with the same parser
+// (parseMatrixSpec / parseMatrixAxis) and refuses a bad one with exit 2.
 //
 // Exit status: 0 on success, 1 if any matrix cell failed, 2 on bad usage.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analyze/LintReport.h"
-#include "analyze/SpecLint.h"
 #include "conform/Conformance.h"
 #include "core/MatrixRunner.h"
 #include "inject/FaultPlan.h"
@@ -35,9 +36,12 @@
 #include "support/SpecParse.h"
 #include "support/Table.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 using namespace allocsim;
 
@@ -47,6 +51,42 @@ namespace {
 int usageError(const std::string &Message) {
   std::cerr << "allocsim_cli: error: " << Message << "\n";
   return 2;
+}
+
+/// Prints the errors in \p Diags as usage errors located in \p Input (the
+/// flag the text came from); returns true when there were any.
+bool reportUsageErrors(const DiagEngine &Diags, const std::string &Input) {
+  for (const Diag &D : Diags.diags()) {
+    if (D.Severity != DiagSeverity::Error)
+      continue;
+    std::cerr << "allocsim_cli: error: " << Input;
+    if (D.Loc.Line != 0)
+      std::cerr << ":" << D.Loc.Line << ":" << D.Loc.Column;
+    std::cerr << ": " << D.Message << " [" << D.Rule << "]\n";
+  }
+  return Diags.errorCount() != 0;
+}
+
+/// Reads the integer flag --\p Name into \p Value, accepting only a
+/// number (decimal, or 0x hex / 0 octal as before) from \p Min to T's
+/// maximum; anything else is reported and refused, never narrowed.
+template <typename T>
+bool readUnsignedFlag(const CommandLine &Cli, const std::string &Name,
+                      T &Value, T Min) {
+  const std::string &Text = Cli.getString(Name);
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long Parsed = std::strtoull(Text.c_str(), &End, 0);
+  if (Text.empty() || !std::isdigit(static_cast<unsigned char>(Text[0])) ||
+      *End != '\0' || errno == ERANGE || Parsed < Min ||
+      Parsed > std::numeric_limits<T>::max()) {
+    usageError("bad --" + Name + " '" + Text + "' (expected an integer from " +
+               std::to_string(Min) + " to " +
+               std::to_string(std::numeric_limits<T>::max()) + ")");
+    return false;
+  }
+  Value = static_cast<T>(Parsed);
+  return true;
 }
 
 bool writeStoreFile(const ResultStore &Store, const std::string &Path,
@@ -81,7 +121,8 @@ bool writeTelemetryFile(const ResultStore &Store, const std::string &Path,
 
 int main(int Argc, char **Argv) {
   CommandLine Cli;
-  Cli.addFlag("workload", "gs", "workload name (espresso/gs/ptc/...)");
+  Cli.addFlag("workload", "gs",
+              "comma-separated workload names (espresso/gs/ptc/...)");
   Cli.addFlag("allocators", "FirstFit,QuickFit,GnuG++,BSD,GnuLocal",
               "comma-separated allocator names (also BestFit, Custom)");
   Cli.addFlag("caches", "16,64", "cache specs: sizeKB[:block[:assoc]]");
@@ -105,10 +146,6 @@ int main(int Argc, char **Argv) {
               "full (shadow + periodic invariant walks)");
   Cli.addFlag("check-interval", "64",
               "operations between invariant walks with --check=full");
-  Cli.addFlag("delivery", "batched",
-              "reference delivery to the simulators: batched (default) or "
-              "scalar; results are bit-identical, scalar exists for "
-              "equivalence checks and as the throughput baseline");
   Cli.addFlag("engine", "percfg",
               "cache sweep engine: percfg (default; one simulator per "
               "config) or stackdist (one stack-distance pass over a family "
@@ -155,16 +192,21 @@ int main(int Argc, char **Argv) {
   if (!Cli.parse(Argc, Argv))
     return 2;
 
+  uint64_t Seed = 0;
+  unsigned Jobs = 0;
+  if (!readUnsignedFlag(Cli, "seed", Seed, uint64_t(0)) ||
+      !readUnsignedFlag(Cli, "jobs", Jobs, 0u))
+    return 2;
+
   if (Cli.getBool("conform") || Cli.getBool("conform-json")) {
     ConformOptions Conform;
     for (const std::string &Name :
          splitSpecList(Cli.getString("conform-suite"), ','))
       Conform.Suites.push_back(Name);
-    Conform.Scale = static_cast<uint32_t>(Cli.getInt("conform-scale"));
-    if (Conform.Scale == 0)
-      return usageError("--conform-scale must be positive");
-    Conform.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
-    Conform.Jobs = static_cast<unsigned>(Cli.getInt("jobs"));
+    if (!readUnsignedFlag(Cli, "conform-scale", Conform.Scale, 1u))
+      return 2;
+    Conform.Seed = Seed;
+    Conform.Jobs = Jobs;
     Conform.ExpectationsDir = Cli.getString("expectations");
     const char *Update = std::getenv("ALLOCSIM_UPDATE_CONFORMANCE");
     Conform.UpdateExpectations = Update && *Update && *Update != '0';
@@ -176,47 +218,26 @@ int main(int Argc, char **Argv) {
     return Report.passed() ? 0 : 1;
   }
 
-  if (Cli.getBool("lint") || Cli.getBool("lint-json")) {
-    if (Cli.getString("matrix").empty())
-      return usageError("--lint needs a --matrix spec to check");
-    LintInput Input;
-    Input.Name = "--matrix";
-    Input.Kind = "matrix-spec";
-    lintMatrixSpec(Cli.getString("matrix"), Input.Diags);
-    std::vector<LintInput> Inputs;
-    Inputs.push_back(std::move(Input));
-    if (Cli.getBool("lint-json"))
-      writeLintReportJson(std::cout, Inputs);
-    else
-      printLintReport(std::cout, Inputs);
-    return summarizeLint(Inputs).clean() ? 0 : 1;
-  }
-
-  std::string Error;
   MatrixSpec Spec;
-  Spec.Base.Engine.Scale = static_cast<uint32_t>(Cli.getInt("scale"));
-  Spec.Base.Engine.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
+  Spec.Base.Engine.Seed = Seed;
   Spec.Base.EmulateBoundaryTags = Cli.getBool("tags");
-  Spec.Base.Check.Level = parseCheckLevel(Cli.getString("check"));
-  Spec.Base.Check.IntervalOps =
-      static_cast<uint32_t>(Cli.getInt("check-interval"));
-  if (Cli.getString("delivery") == "batched")
-    Spec.Base.BatchedDelivery = true;
-  else if (Cli.getString("delivery") == "scalar")
-    Spec.Base.BatchedDelivery = false;
-  else
-    return usageError("bad --delivery '" + Cli.getString("delivery") +
-                      "' (expected batched or scalar)");
-  if (std::optional<CacheEngineKind> Engine =
-          tryParseCacheEngine(Cli.getString("engine")))
-    Spec.Base.CacheEngine = *Engine;
-  else
-    return usageError("bad --engine '" + Cli.getString("engine") +
-                      "' (expected percfg or stackdist)");
-  if (!tryParseTelemetryLevel(Cli.getString("telemetry"),
-                              Spec.Base.Telemetry))
-    return usageError("bad --telemetry '" + Cli.getString("telemetry") +
-                      "' (expected off, summary or full)");
+  if (!readUnsignedFlag(Cli, "scale", Spec.Base.Engine.Scale, 1u) ||
+      !readUnsignedFlag(Cli, "check-interval", Spec.Base.Check.IntervalOps,
+                        0u))
+    return 2;
+  if (!tryParseCheckLevel(Cli.getString("check"), Spec.Base.Check.Level))
+    return usageError("bad --check '" + Cli.getString("check") +
+                      "' (expected off, fast or full)");
+  // Every axis value goes through the matrix grammar's one parser, whether
+  // it arrives as a single-axis flag or inside --matrix.
+  auto ParseAxisFlag = [&](const char *Flag, const char *Axis) {
+    DiagEngine Diags;
+    parseMatrixAxis(Axis, Cli.getString(Flag), Spec, Diags);
+    return !reportUsageErrors(Diags, std::string("--") + Flag);
+  };
+  if (!ParseAxisFlag("engine", "engine") ||
+      !ParseAxisFlag("telemetry", "telemetry"))
+    return 2;
   if (!Cli.getString("inject").empty()) {
     DiagEngine Diags;
     Spec.Base.Inject = parseFaultPlan(Cli.getString("inject"), Diags);
@@ -228,40 +249,41 @@ int main(int Argc, char **Argv) {
       Spec.Base.Inject.Seed = Spec.Base.Engine.Seed;
   }
 
+  if (Cli.getBool("lint") || Cli.getBool("lint-json")) {
+    if (Cli.getString("matrix").empty())
+      return usageError("--lint needs a --matrix spec to check");
+    LintInput Input;
+    Input.Name = "--matrix";
+    Input.Kind = "matrix-spec";
+    parseMatrixSpec(Cli.getString("matrix"), Spec, Input.Diags);
+    std::vector<LintInput> Inputs;
+    Inputs.push_back(std::move(Input));
+    if (Cli.getBool("lint-json"))
+      writeLintReportJson(std::cout, Inputs);
+    else
+      printLintReport(std::cout, Inputs);
+    return summarizeLint(Inputs).clean() ? 0 : 1;
+  }
+
   if (!Cli.getString("matrix").empty()) {
-    if (!parseMatrixSpec(Cli.getString("matrix"), Spec, Error))
-      return usageError(Error);
+    DiagEngine Diags;
+    parseMatrixSpec(Cli.getString("matrix"), Spec, Diags);
+    if (reportUsageErrors(Diags, "--matrix"))
+      return 2;
   } else {
-    WorkloadId Workload;
-    if (!tryParseWorkload(Cli.getString("workload"), Workload))
-      return usageError("unknown workload '" + Cli.getString("workload") +
-                        "'");
-    Spec.Workloads = {Workload};
-    for (const std::string &Name :
-         splitSpecList(Cli.getString("allocators"), ',')) {
-      AllocatorKind Kind;
-      if (!tryParseAllocatorKind(Name, Kind))
-        return usageError("unknown allocator '" + Name + "'");
-      Spec.Allocators.push_back(Kind);
-    }
-    if (Spec.Allocators.empty())
-      return usageError("--allocators must name at least one allocator");
-    if (!parseCacheList(Cli.getString("caches"), Spec.Caches, Error))
-      return usageError(Error);
-    if (!parseSpecUnsignedList(Cli.getString("paging"),
-                               "paging memory size (KB)",
-                               Spec.PagingMemoryKb, Error))
-      return usageError(Error);
-    if (!parseSpecUnsignedList(Cli.getString("penalty"),
-                               "miss penalty (cycles)", Spec.PenaltiesCycles,
-                               Error))
-      return usageError(Error);
-    if (Spec.PenaltiesCycles.empty())
-      return usageError("--penalty must list at least one value");
+    bool Ok = ParseAxisFlag("workload", "workloads");
+    Ok &= ParseAxisFlag("allocators", "allocators");
+    Ok &= ParseAxisFlag("caches", "caches");
+    Ok &= ParseAxisFlag("paging", "paging");
+    Ok &= ParseAxisFlag("penalty", "penalty");
+    DiagEngine Diags;
+    checkCacheBank(Spec.Caches, Spec.Base.CacheEngine, Diags);
+    if (reportUsageErrors(Diags, "--caches") || !Ok)
+      return 2;
   }
 
   MatrixOptions Options;
-  Options.Jobs = static_cast<unsigned>(Cli.getInt("jobs"));
+  Options.Jobs = Jobs;
   if (Cli.getBool("progress"))
     Options.Progress = [](const MatrixProgress &Progress) {
       std::cerr << "matrix: " << Progress.Completed << "/" << Progress.Total

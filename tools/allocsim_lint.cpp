@@ -3,7 +3,8 @@
 // Part of allocsim (PLDI 1993 cache-locality-of-malloc reproduction).
 //
 // TraceLint's command-line front end: lints allocation-event scripts and
-// matrix specs without running a single simulated instruction, reporting
+// matrix specs (through parseMatrixSpec, the parser a run uses) without
+// running a single simulated instruction, reporting
 // every finding (not just the first) with file:line:column and a stable
 // rule id.
 //
@@ -28,8 +29,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyze/LintReport.h"
-#include "analyze/SpecLint.h"
 #include "analyze/TraceLint.h"
+#include "core/MatrixRunner.h"
 #include "support/CommandLine.h"
 
 #include <fstream>
@@ -78,7 +79,8 @@ int main(int Argc, char **Argv) {
     LintInput Input;
     Input.Name = "--matrix";
     Input.Kind = "matrix-spec";
-    lintMatrixSpec(Cli.getString("matrix"), Input.Diags);
+    MatrixSpec Spec;
+    parseMatrixSpec(Cli.getString("matrix"), Spec, Input.Diags);
     Inputs.push_back(std::move(Input));
   }
 
