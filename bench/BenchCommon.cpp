@@ -29,10 +29,11 @@ allocsim::parseBenchOptions(int Argc, const char *const *Argv,
   if (!Cli.parse(Argc, Argv))
     return std::nullopt;
   BenchOptions Options;
-  Options.Scale = static_cast<uint32_t>(Cli.getInt("scale"));
-  Options.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
+  if (!readUnsignedFlag(Cli, "scale", Options.Scale, 1u) ||
+      !readUnsignedFlag(Cli, "seed", Options.Seed, uint64_t(0)) ||
+      !readUnsignedFlag(Cli, "jobs", Options.Jobs, 0u))
+    return std::nullopt;
   Options.Csv = Cli.getBool("csv");
-  Options.Jobs = static_cast<uint32_t>(Cli.getInt("jobs"));
   Options.OutJson = Cli.getString("out-json");
   if (!tryParseTelemetryLevel(Cli.getString("telemetry"),
                               Options.Telemetry)) {

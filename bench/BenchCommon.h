@@ -12,7 +12,7 @@
 ///                  workloads that cannot be scaled without shrinking their
 ///                  live heap, like PTC, are clamped automatically)
 ///   --seed S       workload RNG seed
-///   --csv          emit CSV instead of aligned text
+///   --csv true     emit CSV instead of aligned text
 ///   --jobs N       MatrixRunner worker threads for the matrix-backed benches
 ///                  (0 = all hardware threads; results are bit-identical
 ///                  at any job count)
@@ -55,7 +55,9 @@ struct BenchOptions {
 };
 
 /// Registers and parses the common flags (plus any caller-registered ones
-/// through \p Cli). Returns nullopt if the program should exit.
+/// through \p Cli). Returns nullopt if the program should exit: after
+/// --help, or after reporting a bad flag (an unknown flag, a non-boolean
+/// --csv, an integer out of its range such as --scale 0).
 std::optional<BenchOptions> parseBenchOptions(int Argc, const char *const *Argv,
                                               CommandLine &Cli);
 

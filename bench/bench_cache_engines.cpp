@@ -5,13 +5,18 @@
 // Measures cache-simulation throughput (refs/sec delivered into the sink)
 // of the per-config engine (CacheBank: one simulator per geometry) against
 // the one-pass stack-distance engine (StackSim) on the same pre-captured
-// reference stream, for three sweep shapes:
+// reference stream, for five sweep shapes:
 //
 //   fig678     the Figure 6-8 family: 16K..256K at 512 sets (5 members)
 //   dense      every power-of-two size 2K..256K at 64 sets (8 members) —
 //              the "much denser sweeps" the stack engine enables
-//   single16k  the paper's lone 16K config (1 member; sanity row — one
-//              pass over one cache has nothing to amortize)
+//   pair       16K direct-mapped + 32K 2-way at 512 sets (2 members): the
+//              smallest family chooseCacheEngine sends to the stack engine
+//   single4w   a lone 64K 4-way cache (1 member): one associative cache,
+//              also served by the stack engine
+//   single16k  the paper's lone 16K config (1 member; one pass over one
+//              direct-mapped cache has nothing to amortize, so it is the
+//              row chooseCacheEngine keeps per-config)
 //
 // The stream is captured once (gs-small under FirstFit, the experiment hot
 // path's own reference mix) and replayed in AccessBatch-sized chunks, so
@@ -207,7 +212,7 @@ int main(int Argc, char **Argv) {
               "write the JSON report here ('-' or empty = stdout only)");
   std::optional<BenchOptions> Options = parseBenchOptions(Argc, Argv, Cli);
   if (!Options)
-    return 0;
+    return 1;
   bool Quick = Cli.getBool("quick");
   if (Quick && Options->Scale == 8)
     Options->Scale = 16; // smaller run, same machinery
@@ -222,6 +227,8 @@ int main(int Argc, char **Argv) {
       {"fig678", stackCacheSweep()},
       {"dense", denseFamily()},
       {"single16k", {CacheConfig{16 * 1024, 32, 1}}},
+      {"pair", {CacheConfig{16 * 1024, 32, 1}, CacheConfig{32 * 1024, 32, 2}}},
+      {"single4w", {CacheConfig{64 * 1024, 32, 4}}},
   };
 
   std::vector<Measurement> Rows;

@@ -188,7 +188,7 @@ int main(int Argc, char **Argv) {
               "write the JSON report here ('-' or empty = stdout only)");
   std::optional<BenchOptions> Options = parseBenchOptions(Argc, Argv, Cli);
   if (!Options)
-    return 0;
+    return 1;
   bool Quick = Cli.getBool("quick");
   if (Quick && Options->Scale == 8)
     Options->Scale = 16; // smaller run, same machinery

@@ -44,25 +44,6 @@ std::string CacheConfig::describe() const {
   return Result;
 }
 
-const char *allocsim::cacheEngineName(CacheEngineKind Engine) {
-  switch (Engine) {
-  case CacheEngineKind::PerConfig:
-    return "percfg";
-  case CacheEngineKind::StackDist:
-    return "stackdist";
-  }
-  return "?";
-}
-
-std::optional<CacheEngineKind>
-allocsim::tryParseCacheEngine(std::string_view Name) {
-  if (Name == "percfg")
-    return CacheEngineKind::PerConfig;
-  if (Name == "stackdist")
-    return CacheEngineKind::StackDist;
-  return std::nullopt;
-}
-
 CacheSim::CacheSim(const CacheConfig &SimConfig) : Config(SimConfig) {
   // Validate before deriving the block shift: log2Exact on a zero or
   // non-power-of-two block size is undefined behavior, and degenerate

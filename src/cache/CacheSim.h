@@ -29,9 +29,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace allocsim {
@@ -77,12 +75,6 @@ enum class CacheEngineKind : uint8_t {
   /// only associativity); bit-exact with PerConfig where both apply.
   StackDist,
 };
-
-/// "percfg" / "stackdist".
-const char *cacheEngineName(CacheEngineKind Engine);
-
-/// Parses a cacheEngineName spelling; std::nullopt on anything else.
-std::optional<CacheEngineKind> tryParseCacheEngine(std::string_view Name);
 
 /// Hit/miss counters, split by access source.
 struct CacheStats {

@@ -45,6 +45,16 @@ allocsim::describeStackFamilyProblem(const std::vector<CacheConfig> &Family) {
   return "";
 }
 
+CacheEngineKind
+allocsim::chooseCacheEngine(const std::vector<CacheConfig> &Caches) {
+  bool Associative = std::any_of(
+      Caches.begin(), Caches.end(),
+      [](const CacheConfig &Config) { return Config.Assoc > 1; });
+  return Associative && describeStackFamilyProblem(Caches).empty()
+             ? CacheEngineKind::StackDist
+             : CacheEngineKind::PerConfig;
+}
+
 StackSim::StackSim(const std::vector<CacheConfig> &SimFamily)
     : Family(SimFamily) {
   if (Family.empty())

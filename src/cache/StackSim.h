@@ -43,6 +43,15 @@ namespace allocsim {
 /// before the StackSim constructor would reportFatalError on the same input.
 std::string describeStackFamilyProblem(const std::vector<CacheConfig> &Family);
 
+/// The engine a parsed cache list runs on: StackDist for a stack-legal
+/// family with an associative member, where the one pass beats probing
+/// every member (bench_cache_engines' pair, single4w and fig678 rows);
+/// PerConfig for everything else — an empty list, a lone direct-mapped
+/// cache (the single16k row, where the stack is slower), the paper's
+/// all-direct-mapped sweep (CacheBank's nested sweep) and mixed
+/// geometries.
+CacheEngineKind chooseCacheEngine(const std::vector<CacheConfig> &Caches);
+
 /// One-pass multi-configuration LRU simulator over a cache family sharing
 /// block size and set count (see file comment). Attachable to the memory
 /// bus wherever a CacheBank would go; statsFor(I) afterwards yields exactly

@@ -63,7 +63,10 @@ struct ExperimentConfig {
   /// the entries must then share block size and set count (vary only
   /// associativity). Every reported number is bit-identical between the
   /// engines where both apply; StackDist just gets there in one pass
-  /// instead of size() passes.
+  /// instead of size() passes. Not a user option: a parsed spec's caches
+  /// axis sets it with chooseCacheEngine, and code that builds its own
+  /// config keeps the default or sets it (the engine-equivalence suites),
+  /// like BatchedDelivery.
   CacheEngineKind CacheEngine = CacheEngineKind::PerConfig;
 
   /// Memory sizes (KB) at which to sample the page-fault-rate curve; the

@@ -32,6 +32,18 @@ uint64_t cellSeed(const MatrixSpec &Spec, size_t WorkloadIdx) {
   return Mix.next();
 }
 
+/// Reports each repeated geometry in \p Caches as spec-duplicate-cache at
+/// \p CachesLoc: the cache layer treats a duplicate as fatal, and it would
+/// double-count in sweep output.
+void checkCacheBank(const std::vector<CacheConfig> &Caches, DiagEngine &Diags,
+                    SourceLoc CachesLoc = {}) {
+  for (size_t I = 0; I != Caches.size(); ++I)
+    if (std::find(Caches.begin(), Caches.begin() + I, Caches[I]) !=
+        Caches.begin() + I)
+      Diags.error("spec-duplicate-cache", CachesLoc,
+                  "duplicate cache geometry '" + Caches[I].describe() + "'");
+}
+
 /// Returns a description of what makes \p Config unrunnable, or "" if it is
 /// sound. Validation failures become recorded cell errors, not aborts.
 std::string validateCellConfig(const ExperimentConfig &Config) {
@@ -41,9 +53,14 @@ std::string validateCellConfig(const ExperimentConfig &Config) {
   // The cache layer treats duplicate geometries and stack-illegal families
   // as fatal; diagnose here where a cell can fail gracefully instead.
   DiagEngine BankDiags;
-  checkCacheBank(Config.Caches, Config.CacheEngine, BankDiags);
+  checkCacheBank(Config.Caches, BankDiags);
   if (BankDiags.errorCount() != 0)
     return BankDiags.firstError();
+  if (Config.CacheEngine == CacheEngineKind::StackDist) {
+    std::string Problem = describeStackFamilyProblem(Config.Caches);
+    if (!Problem.empty())
+      return "stack-distance engine: " + Problem;
+  }
   if (Config.MissPenaltyCycles == 0)
     return "miss penalty must be positive";
   if (Config.Engine.Scale == 0)
@@ -157,16 +174,10 @@ void writeMatrixJson(std::ostream &OS, const MatrixSpec &Spec,
     OS << (I ? ", " : "") << Spec.PagingMemoryKb[I];
   OS << "]\n  },\n";
 
-  // The cache_engine key appears only for the non-default engine, so
-  // default-engine output stays byte-identical to pre-StackSim runs.
   OS << "  \"engine\": {\"scale\": " << Spec.Base.Engine.Scale
      << ", \"seed\": " << Spec.Base.Engine.Seed
      << ", \"salt_seed_per_workload\": "
-     << (Spec.SaltSeedPerWorkload ? "true" : "false");
-  if (Spec.Base.CacheEngine != CacheEngineKind::PerConfig)
-    OS << ", \"cache_engine\": \"" << cacheEngineName(Spec.Base.CacheEngine)
-       << "\"";
-  OS << "},\n";
+     << (Spec.SaltSeedPerWorkload ? "true" : "false") << "},\n";
 
   // The faults section (plan echo, totals, quarantine) exists only under a
   // fault plan: plan-free output stays byte-identical to pre-FaultLab runs.
@@ -305,40 +316,39 @@ void ResultStore::writeCsv(std::ostream &OS) const {
   OS << "cache_kb,cache_block_bytes,cache_assoc,cache_accesses,"
      << "cache_misses,cache_miss_rate,est_seconds\n";
   for (const CellOutcome &Cell : Cells) {
-    std::string Prefix;
-    {
-      std::string ErrorField = Cell.Error;
-      for (char &C : ErrorField)
-        if (C == ',' || C == '\n')
-          C = ' ';
-      const RunResult &R = Cell.Result;
-      Prefix = std::string(workloadName(Cell.Workload)) + "," +
-               allocatorKindName(Cell.Allocator) + "," +
-               std::to_string(Cell.PenaltyCycles) + "," +
-               (Cell.Ok ? "1" : "0") + "," + ErrorField + "," +
-               std::to_string(Cell.Seed) + "," +
-               std::to_string(R.AppInstructions) + "," +
-               std::to_string(R.AllocInstructions) + "," +
-               std::to_string(R.TotalRefs) + "," + std::to_string(R.AppRefs) +
-               "," + std::to_string(R.AllocRefs) + "," +
-               std::to_string(R.TagRefs) + "," +
-               std::to_string(R.Alloc.MallocCalls) + "," +
-               std::to_string(R.Alloc.FreeCalls) + "," +
-               std::to_string(R.HeapBytes) + "," +
-               std::to_string(R.BlocksSearched) + "," +
-               std::to_string(R.DistinctPages);
-      if (WithFaults)
-        Prefix += "," + std::to_string(Cell.Attempts) + "," +
-                  std::to_string(R.FaultsInjected) + "," +
-                  std::to_string(R.FaultsDetected) + "," +
-                  std::to_string(R.SbrkDenied) + "," +
-                  std::to_string(R.DroppedEvents);
-    }
-    if (!Cell.Ok || Cell.Result.Caches.empty()) {
+    std::string ErrorField = Cell.Error;
+    for (char &C : ErrorField)
+      if (C == ',' || C == '\n')
+        C = ' ';
+    // Appended piece by piece: a chain of temporaries ("," +
+    // std::to_string(...) + ...) trips g++ 12's -Werror=restrict false
+    // positive in Release builds.
+    std::string Prefix = workloadName(Cell.Workload);
+    auto Append = [&Prefix](const std::string &Field) {
+      Prefix += ',';
+      Prefix += Field;
+    };
+    Append(allocatorKindName(Cell.Allocator));
+    Append(std::to_string(Cell.PenaltyCycles));
+    Append(Cell.Ok ? "1" : "0");
+    Append(ErrorField);
+    const RunResult &R = Cell.Result;
+    for (uint64_t Value :
+         {Cell.Seed, R.AppInstructions, R.AllocInstructions, R.TotalRefs,
+          R.AppRefs, R.AllocRefs, R.TagRefs, R.Alloc.MallocCalls,
+          R.Alloc.FreeCalls, uint64_t(R.HeapBytes), R.BlocksSearched,
+          R.DistinctPages})
+      Append(std::to_string(Value));
+    if (WithFaults)
+      for (uint64_t Value :
+           {uint64_t(Cell.Attempts), R.FaultsInjected, R.FaultsDetected,
+            R.SbrkDenied, R.DroppedEvents})
+        Append(std::to_string(Value));
+    if (!Cell.Ok || R.Caches.empty()) {
       OS << Prefix << ",,,,,,,\n";
       continue;
     }
-    for (const CacheResult &Cache : Cell.Result.Caches)
+    for (const CacheResult &Cache : R.Caches)
       OS << Prefix << "," << Cache.Config.SizeBytes / 1024 << ","
          << Cache.Config.BlockBytes << "," << Cache.Config.Assoc << ","
          << Cache.Stats.Accesses << "," << Cache.Stats.Misses << ","
@@ -568,26 +578,6 @@ bool allocsim::parseCacheSpec(const std::string &Spec, CacheConfig &Config,
   return true;
 }
 
-void allocsim::checkCacheBank(const std::vector<CacheConfig> &Caches,
-                              CacheEngineKind Engine, DiagEngine &Diags,
-                              SourceLoc CachesLoc, SourceLoc EngineLoc) {
-  // Duplicate geometries would double-count in sweep output.
-  bool Duplicates = false;
-  for (size_t I = 0; I != Caches.size(); ++I)
-    if (std::find(Caches.begin(), Caches.begin() + I, Caches[I]) !=
-        Caches.begin() + I) {
-      Diags.error("spec-duplicate-cache", CachesLoc,
-                  "duplicate cache geometry '" + Caches[I].describe() + "'");
-      Duplicates = true;
-    }
-  if (Duplicates || Engine != CacheEngineKind::StackDist)
-    return;
-  std::string Problem = describeStackFamilyProblem(Caches);
-  if (!Problem.empty())
-    Diags.error("spec-bad-engine-family", EngineLoc,
-                "engine=stackdist: " + Problem);
-}
-
 namespace {
 
 /// Parses each comma-separated item of an axis value with \p ParseItem
@@ -665,6 +655,8 @@ bool allocsim::parseMatrixAxis(const std::string &Key,
   } else if (Key == "caches") {
     parseAxisItems(Value, ValueOffset, "cache", "spec-bad-cache", false,
                    Spec.Caches, Diags, parseCacheSpec);
+    checkCacheBank(Spec.Caches, Diags, ValueLoc);
+    Spec.Base.CacheEngine = chooseCacheEngine(Spec.Caches);
   } else if (Key == "paging") {
     parseNumberAxis(Value, ValueOffset, "paging memory size (KB)",
                     Spec.PagingMemoryKb, Diags);
@@ -676,15 +668,6 @@ bool allocsim::parseMatrixAxis(const std::string &Key,
       Diags.error("spec-bad-value", ValueLoc,
                   "bad matrix value 'telemetry=" + Value +
                       "' (expected off, summary or full)");
-  } else if (Key == "engine") {
-    if (std::optional<CacheEngineKind> Engine = tryParseCacheEngine(Value))
-      Spec.Base.CacheEngine = *Engine;
-    else
-      Diags.error("spec-bad-value", ValueLoc,
-                  "bad matrix value 'engine=" + Value +
-                      "' (expected percfg or stackdist; results are "
-                      "bit-identical, stackdist simulates a shared-set-count "
-                      "cache family in one pass)");
   } else {
     return false;
   }
@@ -701,7 +684,6 @@ bool allocsim::parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
   Spec.PagingMemoryKb.clear();
 
   bool SawWorkloads = false, SawAllocators = false;
-  SourceLoc CachesLoc, EngineLoc;
   for (const SpecKeyValue &Axis : parseSpecKeyValues(Text, Diags)) {
     size_t ValueOffset = Axis.Offset + Axis.Key.size() + 1;
     if (!parseMatrixAxis(Axis.Key, Axis.Value, Spec, Diags, ValueOffset))
@@ -709,14 +691,9 @@ bool allocsim::parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
                   {1, static_cast<uint32_t>(Axis.Offset + 1)},
                   "unknown matrix axis '" + Axis.Key +
                       "' (expected workloads/allocators/caches/paging/"
-                      "penalty/telemetry/engine)");
-    SourceLoc ValueLoc{1, static_cast<uint32_t>(ValueOffset + 1)};
+                      "penalty/telemetry)");
     SawWorkloads |= Axis.Key == "workloads";
     SawAllocators |= Axis.Key == "allocators";
-    if (Axis.Key == "caches")
-      CachesLoc = ValueLoc;
-    else if (Axis.Key == "engine")
-      EngineLoc = ValueLoc;
   }
 
   // An absent or fully-bad required axis means the workload x allocator
@@ -736,8 +713,6 @@ bool allocsim::parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
                       "the cell cross-product is empty"
                     : "matrix spec must name at least one allocator "
                       "(allocators=FirstFit,BSD,...)");
-  checkCacheBank(Spec.Caches, Spec.Base.CacheEngine, Diags, CachesLoc,
-                 EngineLoc);
   return Diags.errorCount() == ErrorsBefore;
 }
 

@@ -207,21 +207,14 @@ ResultStore runMatrix(const MatrixSpec &Spec,
 bool parseCacheSpec(const std::string &Spec, CacheConfig &Config,
                     std::string &Error);
 
-/// Reports what makes \p Caches unrunnable as one cell's cache bank under
-/// \p Engine: a repeated geometry (spec-duplicate-cache, at \p CachesLoc),
-/// or under engine=stackdist a family one stack pass cannot serve
-/// (spec-bad-engine-family, at \p EngineLoc). parseMatrixSpec rejects such
-/// specs with it; runMatrix fails the cells of specs built in code with it.
-void checkCacheBank(const std::vector<CacheConfig> &Caches,
-                    CacheEngineKind Engine, DiagEngine &Diags,
-                    SourceLoc CachesLoc = {}, SourceLoc EngineLoc = {});
-
 /// Parses the value of the matrix axis \p Key into \p Spec, reporting each
 /// bad item at its column on line 1 (\p ValueOffset is the value's 0-based
-/// offset in the spec text). List axes replace their Spec list; telemetry
-/// and engine set Spec.Base. allocsim_cli's single-axis flags call this
-/// with the flag's text. Returns false, reporting nothing, when \p Key
-/// names no axis.
+/// offset in the spec text). List axes replace their Spec list; caches
+/// also reports a repeated geometry (spec-duplicate-cache, at the value)
+/// and sets Spec.Base.CacheEngine to chooseCacheEngine of the new list,
+/// and telemetry sets Spec.Base.Telemetry. allocsim_cli's single-axis flags
+/// call this with the flag's text. Returns false, reporting nothing, when
+/// \p Key names no axis.
 bool parseMatrixAxis(const std::string &Key, const std::string &Value,
                      MatrixSpec &Spec, DiagEngine &Diags,
                      size_t ValueOffset = 0);
@@ -233,8 +226,9 @@ bool parseMatrixAxis(const std::string &Key, const std::string &Value,
 ///
 /// Axes are ';'-separated key=value pairs; workloads and allocators are
 /// required, caches/paging default to empty, penalty defaults to {25}.
-/// The scalar keys telemetry=off|summary|full and engine=percfg|stackdist
-/// set the corresponding Spec.Base fields. Workload engine options
+/// The scalar key telemetry=off|summary|full sets Spec.Base.Telemetry. The
+/// cache engine is not an axis: the caches axis picks it from the
+/// geometry (chooseCacheEngine, cache/StackSim.h). Workload engine options
 /// (scale/seed/...) stay in Spec.Base and are not part of the axis string.
 ///
 /// Every finding is reported into \p Diags, with line 1 / column pointing
@@ -249,15 +243,13 @@ bool parseMatrixAxis(const std::string &Key, const std::string &Value,
 ///   spec-unknown-allocator  E  name tryParseAllocatorKind rejects
 ///   spec-bad-cache          E  cache geometry parseCacheSpec rejects
 ///   spec-bad-number         E  bad paging/penalty entry
-///   spec-bad-value          E  bad telemetry/engine value
+///   spec-bad-value          E  bad telemetry value
 ///   spec-duplicate-value    W  workload/allocator listed twice (the matrix
 ///                              would run duplicate cells)
 ///   spec-missing-workloads  E  required 'workloads' axis absent or unusable
 ///                              (the cross-product of cells would be empty)
 ///   spec-missing-allocators E  likewise for 'allocators'
 ///   spec-duplicate-cache    E  cache geometry listed twice
-///   spec-bad-engine-family  E  engine=stackdist over caches that do not
-///                              share one block size and set count
 ///
 /// The first four are support/SpecParse.h's structural rules. Returns true
 /// when no error (warnings allowed) was added.

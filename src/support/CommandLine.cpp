@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 using namespace allocsim;
 
@@ -16,7 +17,23 @@ void CommandLine::addFlag(const std::string &Name, const std::string &Default,
   Flags[Name] = Flag{Default, Default, Help};
 }
 
+namespace {
+
+std::optional<bool> parseBool(const std::string &Value) {
+  if (Value == "true" || Value == "1" || Value == "yes")
+    return true;
+  if (Value == "false" || Value == "0" || Value == "no")
+    return false;
+  return std::nullopt;
+}
+
+} // namespace
+
 bool CommandLine::parse(int Argc, const char *const *Argv) {
+  if (Argc > 0) {
+    ProgramName = Argv[0];
+    ProgramName.erase(0, ProgramName.rfind('/') + 1);
+  }
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--help" || Arg == "-h") {
@@ -34,22 +51,24 @@ bool CommandLine::parse(int Argc, const char *const *Argv) {
       Value = Arg.substr(Eq + 1);
     } else {
       Name = Arg.substr(2);
-      auto It = Flags.find(Name);
-      if (It == Flags.end()) {
-        std::fprintf(stderr, "error: unknown flag --%s\n", Name.c_str());
-        printHelp(Argv[0]);
-        return false;
+      if (Flags.count(Name)) {
+        if (I + 1 >= Argc) {
+          reportError("flag --" + Name + " needs a value");
+          return false;
+        }
+        Value = Argv[++I];
       }
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: flag --%s needs a value\n", Name.c_str());
-        return false;
-      }
-      Value = Argv[++I];
     }
     auto It = Flags.find(Name);
     if (It == Flags.end()) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", Name.c_str());
+      reportError("unknown flag --" + Name);
       printHelp(Argv[0]);
+      return false;
+    }
+    const std::string &Default = It->second.Default;
+    if ((Default == "true" || Default == "false") && !parseBool(Value)) {
+      reportError("flag --" + Name + " expects a boolean, got '" + Value +
+                  "'");
       return false;
     }
     It->second.Value = Value;
@@ -86,12 +105,17 @@ double CommandLine::getDouble(const std::string &Name) const {
 
 bool CommandLine::getBool(const std::string &Name) const {
   const std::string &Value = getString(Name);
-  if (Value == "true" || Value == "1" || Value == "yes")
-    return true;
-  if (Value == "false" || Value == "0" || Value == "no")
-    return false;
+  if (std::optional<bool> Parsed = parseBool(Value))
+    return *Parsed;
+  // Unreachable for flags registered with a boolean default: parse()
+  // already refused the value.
   reportFatalError("flag --" + Name + " expects a boolean, got '" + Value +
                    "'");
+}
+
+void CommandLine::reportError(const std::string &Message) const {
+  std::fprintf(stderr, "%s%serror: %s\n", ProgramName.c_str(),
+               ProgramName.empty() ? "" : ": ", Message.c_str());
 }
 
 void CommandLine::printHelp(const char *Program) const {

@@ -67,6 +67,24 @@ TEST(BenchOptionsTest, BadTelemetryLevelIsRejected) {
   EXPECT_FALSE(parseArgs({"--telemetry=verbose"}).has_value());
 }
 
+TEST(BenchOptionsTest, BadFlagValuesAreRejectedNotNarrowed) {
+  // --scale, --seed and --jobs go through readUnsignedFlag: a sign, a
+  // non-number or a value past the target type is refused, never wrapped.
+  // A boolean flag takes only a boolean.
+  for (const char *Bad :
+       {"--scale=-1", "--scale=abc", "--scale=0", "--scale=4294967296",
+        "--scale= 8", "--jobs=-1", "--jobs=4294967296",
+        "--seed=0x1ffffffffffffffff", "--seed=-1", "--csv=bogus"})
+    EXPECT_FALSE(parseArgs({Bad}).has_value()) << Bad;
+  std::optional<BenchOptions> Options =
+      parseArgs({"--scale=4294967295", "--seed=0xffffffffffffffff",
+                 "--jobs=0x10"});
+  ASSERT_TRUE(Options.has_value());
+  EXPECT_EQ(Options->Scale, 4294967295u);
+  EXPECT_EQ(Options->Seed, UINT64_MAX);
+  EXPECT_EQ(Options->Jobs, 16u);
+}
+
 TEST(BenchOptionsTest, HelpExitsWithoutOptions) {
   EXPECT_FALSE(parseArgs({"--help"}).has_value());
 }

@@ -6,7 +6,8 @@
 // simulation *bit-exactly*, at the sink level (synthesized streams, scalar
 // and batched delivery) and end to end (corpus scripts and the full
 // Figure 6-8 sweep across all seven allocator kinds, through
-// runScriptExperiment/runExperiment with engine=percfg vs stackdist).
+// runScriptExperiment/runExperiment with CacheEngine PerConfig vs
+// StackDist).
 //
 // A failure here means the one-pass engine and the reference simulators
 // disagree about LRU semantics; neither side is trusted over the other —
@@ -301,4 +302,27 @@ TEST(CacheEngineEquivalenceTest, FamilyProblemDiagnostics) {
             "");
   // Invalid member.
   EXPECT_NE(describeStackFamilyProblem({CacheConfig{16 * 1024, 0, 1}}), "");
+}
+
+TEST(CacheEngineEquivalenceTest, ChooseCacheEngineFollowsGeometry) {
+  // The stack engine serves every stack-legal family with an associative
+  // member.
+  std::vector<CacheConfig> Dense;
+  for (uint32_t Assoc = 1; Assoc <= 128; Assoc *= 2)
+    Dense.push_back(CacheConfig{64 * 32 * Assoc, 32, Assoc});
+  EXPECT_EQ(chooseCacheEngine(stackCacheSweep()), CacheEngineKind::StackDist);
+  EXPECT_EQ(chooseCacheEngine(Dense), CacheEngineKind::StackDist);
+  EXPECT_EQ(chooseCacheEngine({CacheConfig{64 * 1024, 32, 4}}),
+            CacheEngineKind::StackDist);
+
+  // Everything else stays per-config: the paper's direct-mapped sweep
+  // (CacheBank's nested sweep), a lone direct-mapped cache, mixed block
+  // sizes, and no caches at all.
+  EXPECT_EQ(chooseCacheEngine(paperCacheSweep()), CacheEngineKind::PerConfig);
+  EXPECT_EQ(chooseCacheEngine({CacheConfig{16 * 1024, 32, 1}}),
+            CacheEngineKind::PerConfig);
+  EXPECT_EQ(chooseCacheEngine(
+                {CacheConfig{16 * 1024, 32, 1}, CacheConfig{32 * 1024, 64, 2}}),
+            CacheEngineKind::PerConfig);
+  EXPECT_EQ(chooseCacheEngine({}), CacheEngineKind::PerConfig);
 }

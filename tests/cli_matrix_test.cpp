@@ -185,7 +185,7 @@ TEST(CliMatrixTest, MalformedSpecsExitNonzeroWithDiagnostic) {
        "duplicate cache geometry"},
       {"--matrix \"workloads=make;allocators=BSD;caches=16,32;"
        "engine=stackdist\"",
-       "engine=stackdist"},
+       "unknown matrix axis"},
       {"--caches 16,16", "duplicate cache geometry"},
       {"--matrix \"workloads=gs;allocators=BSD;delivery=scalar\"",
        "unknown matrix axis"},
@@ -200,6 +200,12 @@ TEST(CliMatrixTest, MalformedSpecsExitNonzeroWithDiagnostic) {
       {"--seed 0x1ffffffffffffffff", "bad --seed"},
       {"--seed -1", "bad --seed"},
       {"--check bogus", "bad --check"},
+      // Boolean flags take a boolean, not the next flag or a typo.
+      {"--matrix \"workloads=gs-small;allocators=BSD\" --csv bogus",
+       "flag --csv expects a boolean, got 'bogus'"},
+      {"--csv --matrix \"workloads=gs-small;allocators=BSD\"",
+       "flag --csv expects a boolean, got '--matrix'"},
+      {"--lint=maybe", "flag --lint expects a boolean"},
   };
   for (const BadInvocation &Invocation : Bad) {
     std::string Output;
@@ -210,8 +216,9 @@ TEST(CliMatrixTest, MalformedSpecsExitNonzeroWithDiagnostic) {
     EXPECT_NE(Output.find(Invocation.ExpectInMessage), std::string::npos)
         << Invocation.Args << "\n" << Output;
   }
-  // Delivery mode is a test seam, not a flag.
+  // Delivery mode and the cache engine are test seams, not flags.
   EXPECT_EQ(runCli("--delivery scalar"), 2);
+  EXPECT_EQ(runCli("--engine stackdist"), 2);
 }
 
 TEST(CliMatrixTest, GoodRunEmitsParseableJsonAndExitsZero) {

@@ -121,7 +121,14 @@ class DiagnosticFormatTest(LintGateTestCase):
             "workloads=gs;allocators=BSD;caches=16,32;engine=stackdist",
         )
         self.assertEqual(code, 1, out)
-        self.assertIn("[spec-bad-engine-family]", out)
+        self.assertIn("[spec-unknown-axis]", out)
+
+    def test_bad_boolean_flag_is_a_usage_error(self):
+        code, out = run_lint(
+            "--json", "maybe", "--matrix", "workloads=gs;allocators=BSD"
+        )
+        self.assertEqual(code, 2, out)
+        self.assertIn("error: flag --json expects a boolean, got 'maybe'", out)
 
 
 class JsonReportTest(LintGateTestCase):

@@ -501,21 +501,49 @@ TEST(MatrixRunnerTest, ParseMatrixSpecDiagnostics) {
 }
 
 TEST(MatrixRunnerTest, ParseMatrixSpecEngineAxis) {
+  // The cache engine is no axis: the caches axis picks it from the
+  // geometry, so engine= is an unknown axis like any other.
   MatrixSpec Spec;
-  std::string Error;
-  ASSERT_TRUE(parseMatrixSpec(
-      "workloads=gs;allocators=BSD;caches=16;engine=stackdist", Spec, Error))
-      << Error;
-  EXPECT_EQ(Spec.Base.CacheEngine, CacheEngineKind::StackDist);
-
-  ASSERT_TRUE(parseMatrixSpec("workloads=gs;allocators=BSD;engine=percfg",
-                              Spec, Error))
-      << Error;
-  EXPECT_EQ(Spec.Base.CacheEngine, CacheEngineKind::PerConfig);
-
+  DiagEngine Diags;
   EXPECT_FALSE(parseMatrixSpec(
-      "workloads=gs;allocators=BSD;engine=warpdrive", Spec, Error));
-  EXPECT_NE(Error.find("engine=warpdrive"), std::string::npos);
+      "workloads=gs;allocators=BSD;caches=16;engine=stackdist", Spec, Diags));
+  ASSERT_EQ(Diags.errorCount(), 1u);
+  EXPECT_EQ(Diags.diags().front().Rule, "spec-unknown-axis");
+  EXPECT_EQ(Diags.diags().front().Loc.Column, 39u);
+}
+
+TEST(MatrixRunnerTest, ParsedStackFamilyRunsOnTheStackEngine) {
+  // A parsed stack-legal family with an associative member runs on the
+  // one-pass engine, and what the store writes is what the per-config
+  // engine would have written.
+  MatrixSpec Stack;
+  std::string Error;
+  ASSERT_TRUE(parseMatrixSpec("workloads=gs-small;allocators=FirstFit,BSD;"
+                              "caches=16,32:32:2,64:32:4",
+                              Stack, Error))
+      << Error;
+  EXPECT_EQ(Stack.Base.CacheEngine, CacheEngineKind::StackDist);
+  Stack.Base.Engine.Scale = 512;
+  MatrixSpec PerCfg = Stack;
+  PerCfg.Base.CacheEngine = CacheEngineKind::PerConfig;
+
+  ResultStore StackStore = runMatrix(Stack, {});
+  ResultStore PerCfgStore = runMatrix(PerCfg, {});
+  ASSERT_EQ(StackStore.failedCount(), 0u);
+  std::ostringstream StackJson, PerCfgJson, StackCsv, PerCfgCsv;
+  StackStore.writeJson(StackJson);
+  PerCfgStore.writeJson(PerCfgJson);
+  StackStore.writeCsv(StackCsv);
+  PerCfgStore.writeCsv(PerCfgCsv);
+  EXPECT_EQ(StackJson.str(), PerCfgJson.str());
+  EXPECT_EQ(StackCsv.str(), PerCfgCsv.str());
+
+  // The paper's direct-mapped sweep keeps the per-config engine.
+  MatrixSpec Paper;
+  ASSERT_TRUE(parseMatrixSpec(
+      "workloads=gs;allocators=BSD;caches=16,32,64,128,256", Paper, Error))
+      << Error;
+  EXPECT_EQ(Paper.Base.CacheEngine, CacheEngineKind::PerConfig);
 }
 
 TEST(MatrixRunnerTest, DegenerateCellConfigsFailGracefully) {
@@ -538,7 +566,7 @@ TEST(MatrixRunnerTest, DegenerateCellConfigsFailGracefully) {
   Spec.Base.CacheEngine = CacheEngineKind::StackDist;
   ResultStore Stack = runMatrix(Spec, {});
   EXPECT_FALSE(Stack.at(0, 0, 0).Ok);
-  EXPECT_NE(Stack.at(0, 0, 0).Error.find("engine=stackdist"),
+  EXPECT_NE(Stack.at(0, 0, 0).Error.find("stack-distance engine"),
             std::string::npos);
 
   // The same family is fine under the per-config engine.

@@ -238,6 +238,27 @@ TEST(CommandLineTest, BoolParsing) {
   EXPECT_TRUE(Cli.getBool("flag"));
 }
 
+TEST(CommandLineTest, BoolFlagRejectsNonBooleanValue) {
+  // A flag registered with a boolean default takes only a boolean: a typo,
+  // or the next flag swallowed as the value, fails the parse instead of
+  // aborting later in getBool.
+  for (std::vector<const char *> Argv :
+       {std::vector<const char *>{"prog", "--flag=bogus"},
+        std::vector<const char *>{"prog", "--flag", "--other", "x"}}) {
+    CommandLine Cli;
+    Cli.addFlag("flag", "false", "");
+    Cli.addFlag("other", "", "");
+    EXPECT_FALSE(Cli.parse(static_cast<int>(Argv.size()), Argv.data()))
+        << Argv[1];
+  }
+  CommandLine Cli;
+  Cli.addFlag("flag", "true", "");
+  Cli.addFlag("count", "0", "");
+  const char *Argv[] = {"prog", "--flag", "no", "--count=abc"};
+  ASSERT_TRUE(Cli.parse(4, Argv)) << "only boolean defaults are checked";
+  EXPECT_FALSE(Cli.getBool("flag"));
+}
+
 TEST(CommandLineTest, HelpReturnsFalse) {
   CommandLine Cli;
   const char *Argv[] = {"prog", "--help"};

@@ -386,17 +386,9 @@ TEST(SpecLintTest, CellBankErrorsAreSpecErrors) {
   EXPECT_TRUE(hasRule(Dup, "spec-duplicate-cache", 1, 38));
   EXPECT_EQ(Dup.errorCount(), 1u);
 
-  DiagEngine Family;
-  lintSpec("workloads=make;allocators=BSD;caches=16,32;engine=stackdist",
-           Family);
-  EXPECT_TRUE(hasRule(Family, "spec-bad-engine-family", 1, 51));
-  EXPECT_EQ(Family.errorCount(), 1u);
-
   // A stack-legal family (one set count, varying associativity) is clean.
   DiagEngine Legal;
-  lintSpec("workloads=make;allocators=BSD;caches=16,32:32:2;"
-           "engine=stackdist",
-           Legal);
+  lintSpec("workloads=make;allocators=BSD;caches=16,32:32:2", Legal);
   EXPECT_TRUE(Legal.clean());
 
   // A cache whose byte count overflows 32 bits is out of range, not a

@@ -36,12 +36,9 @@
 #include "support/SpecParse.h"
 #include "support/Table.h"
 
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 
 using namespace allocsim;
 
@@ -65,28 +62,6 @@ bool reportUsageErrors(const DiagEngine &Diags, const std::string &Input) {
     std::cerr << ": " << D.Message << " [" << D.Rule << "]\n";
   }
   return Diags.errorCount() != 0;
-}
-
-/// Reads the integer flag --\p Name into \p Value, accepting only a
-/// number (decimal, or 0x hex / 0 octal as before) from \p Min to T's
-/// maximum; anything else is reported and refused, never narrowed.
-template <typename T>
-bool readUnsignedFlag(const CommandLine &Cli, const std::string &Name,
-                      T &Value, T Min) {
-  const std::string &Text = Cli.getString(Name);
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long Parsed = std::strtoull(Text.c_str(), &End, 0);
-  if (Text.empty() || !std::isdigit(static_cast<unsigned char>(Text[0])) ||
-      *End != '\0' || errno == ERANGE || Parsed < Min ||
-      Parsed > std::numeric_limits<T>::max()) {
-    usageError("bad --" + Name + " '" + Text + "' (expected an integer from " +
-               std::to_string(Min) + " to " +
-               std::to_string(std::numeric_limits<T>::max()) + ")");
-    return false;
-  }
-  Value = static_cast<T>(Parsed);
-  return true;
 }
 
 bool writeStoreFile(const ResultStore &Store, const std::string &Path,
@@ -146,11 +121,6 @@ int main(int Argc, char **Argv) {
               "full (shadow + periodic invariant walks)");
   Cli.addFlag("check-interval", "64",
               "operations between invariant walks with --check=full");
-  Cli.addFlag("engine", "percfg",
-              "cache sweep engine: percfg (default; one simulator per "
-              "config) or stackdist (one stack-distance pass over a family "
-              "sharing block size and set count); results are bit-identical "
-              "where both apply");
   Cli.addFlag("telemetry", "off",
               "telemetry probes: off (default; zero overhead, bit-identical "
               "results), summary (counters) or full (counters + histograms)");
@@ -235,8 +205,7 @@ int main(int Argc, char **Argv) {
     parseMatrixAxis(Axis, Cli.getString(Flag), Spec, Diags);
     return !reportUsageErrors(Diags, std::string("--") + Flag);
   };
-  if (!ParseAxisFlag("engine", "engine") ||
-      !ParseAxisFlag("telemetry", "telemetry"))
+  if (!ParseAxisFlag("telemetry", "telemetry"))
     return 2;
   if (!Cli.getString("inject").empty()) {
     DiagEngine Diags;
@@ -276,9 +245,7 @@ int main(int Argc, char **Argv) {
     Ok &= ParseAxisFlag("caches", "caches");
     Ok &= ParseAxisFlag("paging", "paging");
     Ok &= ParseAxisFlag("penalty", "penalty");
-    DiagEngine Diags;
-    checkCacheBank(Spec.Caches, Spec.Base.CacheEngine, Diags);
-    if (reportUsageErrors(Diags, "--caches") || !Ok)
+    if (!Ok)
       return 2;
   }
 
