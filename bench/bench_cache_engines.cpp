@@ -55,7 +55,8 @@ using namespace allocsim;
 
 namespace {
 
-/// Records the full reference stream for later replay.
+/// Records the full stream of bus records (word runs kept whole, as the
+/// sinks receive them) for later replay.
 class StreamRecorder final : public AccessSink {
 public:
   void access(const MemAccess &Acc) override { Stream.push_back(Acc); }
@@ -141,13 +142,21 @@ void checkAgreement(const CacheBank &Bank, const StackSim &Stack,
   }
 }
 
+/// References the stream stands for: the sum of its records' run lengths.
+uint64_t countRefs(const std::vector<MemAccess> &Stream) {
+  uint64_t Refs = 0;
+  for (const MemAccess &Record : Stream)
+    Refs += Record.words();
+  return Refs;
+}
+
 /// Best-of-N timing of both engines on the same stream, with the
 /// equivalence assertion run on the first repetition's final state.
 Measurement measure(const EngineConfig &Config,
                     const std::vector<MemAccess> &Stream, unsigned Reps) {
   Measurement Result;
   Result.Name = Config.Name;
-  Result.Refs = Stream.size();
+  Result.Refs = countRefs(Stream);
   double PercfgBest = 0, StackdistBest = 0;
   for (unsigned Rep = 0; Rep != Reps; ++Rep) {
     CacheBank Bank;
@@ -158,9 +167,9 @@ Measurement measure(const EngineConfig &Config,
     double StackdistSec = replayInto(Stack, Stream);
     if (Rep == 0)
       checkAgreement(Bank, Stack, Config.Name);
-    PercfgBest = std::max(PercfgBest, double(Stream.size()) / PercfgSec);
+    PercfgBest = std::max(PercfgBest, double(Result.Refs) / PercfgSec);
     StackdistBest =
-        std::max(StackdistBest, double(Stream.size()) / StackdistSec);
+        std::max(StackdistBest, double(Result.Refs) / StackdistSec);
   }
   Result.PercfgRefsPerSec = PercfgBest;
   Result.StackdistRefsPerSec = StackdistBest;

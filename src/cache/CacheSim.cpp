@@ -53,21 +53,42 @@ CacheSim::CacheSim(const CacheConfig &SimConfig) : Config(SimConfig) {
   BlockShift = log2Exact(Config.BlockBytes);
 }
 
+inline void CacheSim::countProbe(uint32_t Frame, unsigned Source) {
+  ++Stats.Accesses;
+  ++Stats.AccessesBySource[Source];
+  if (!probe(Frame)) {
+    ++Stats.Misses;
+    ++Stats.MissesBySource[Source];
+    if (!SetMisses.empty())
+      ++SetMisses[setIndexOf(Frame)];
+  }
+}
+
 void CacheSim::access(const MemAccess &Acc) {
-  uint64_t First = Acc.Address >> BlockShift;
-  uint64_t Last = (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1)
-                  >> BlockShift;
+  const unsigned Source = static_cast<unsigned>(Acc.Source);
   // An access straddling a block boundary counts once per block touched,
-  // like a trace with one entry per word.
-  for (uint64_t Frame = First; Frame <= Last; ++Frame) {
-    ++Stats.Accesses;
-    ++Stats.AccessesBySource[static_cast<unsigned>(Acc.Source)];
-    if (!probe(Frame)) {
-      ++Stats.Misses;
-      ++Stats.MissesBySource[static_cast<unsigned>(Acc.Source)];
-      if (!SetMisses.empty())
-        ++SetMisses[setIndexOf(Frame)];
+  // like a trace with one entry per word. A run's follow-on touches of a
+  // block re-reference the block just probed: hits that change no state
+  // (DESIGN.md §10).
+  const uint32_t Repeats = forEachFrame(
+      Acc, BlockShift, [&](uint32_t Frame) { countProbe(Frame, Source); });
+  Stats.Accesses += Repeats;
+  Stats.AccessesBySource[Source] += Repeats;
+}
+
+void CacheSim::accessBatch(const MemAccess *Batch, size_t Count) {
+  for (size_t I = 0; I != Count; ++I) {
+    const MemAccess &Acc = Batch[I];
+    if (Acc.Run == 1) {
+      access(Acc);
+      continue;
     }
+    // Word by word; a run's aligned words each lie in one block.
+    const unsigned Source = static_cast<unsigned>(Acc.Source);
+    const Addr Step = Acc.Run > 0 ? 4 : ~Addr{3};
+    Addr Word = Acc.Address;
+    for (uint32_t W = 0, N = Acc.words(); W != N; ++W, Word += Step)
+      countProbe(Word >> BlockShift, Source);
   }
 }
 
@@ -109,14 +130,13 @@ void DirectMappedCache::accessBatch(const MemAccess *Batch, size_t Count) {
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
     const unsigned Source = static_cast<unsigned>(Acc.Source);
-    const uint64_t First = Acc.Address >> Shift;
-    const uint64_t Last =
-        (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> Shift;
-    for (uint64_t Frame = First; Frame <= Last; ++Frame) {
+    // A run's follow-on touches of a frame re-reference the block just
+    // probed: hits that change no state (DESIGN.md §10).
+    const uint32_t Repeats = forEachFrame(Acc, Shift, [&](uint32_t Frame) {
       ++Accesses;
       ++AccBySource[Source];
-      const uint64_t TagPlusOne = Frame + 1;
-      const uint32_t Set = static_cast<uint32_t>(Frame) & Mask;
+      const uint64_t TagPlusOne = uint64_t{Frame} + 1;
+      const uint32_t Set = Frame & Mask;
       uint64_t &Slot = TagArray[Set];
       if (Slot != TagPlusOne) {
         Slot = TagPlusOne;
@@ -125,6 +145,10 @@ void DirectMappedCache::accessBatch(const MemAccess *Batch, size_t Count) {
         if (SetMissArray)
           ++SetMissArray[Set];
       }
+    });
+    if (Repeats != 0) {
+      Accesses += Repeats;
+      AccBySource[Source] += Repeats;
     }
   }
   foldBatchStats(Accesses, Misses, AccBySource, MissBySource);
@@ -155,16 +179,15 @@ void DirectMappedCache::accessBatchNested(DirectMappedCache *const *Members,
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
     uint64_t *BySource = FirstHit[static_cast<unsigned>(Acc.Source)];
-    // Same frame split as CacheSim::access.
-    const uint64_t First = Acc.Address >> Shift;
-    const uint64_t Last =
-        (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> Shift;
-    for (uint64_t Frame = First; Frame <= Last; ++Frame) {
-      const uint64_t TagPlusOne = Frame + 1;
+    // Same frame split as CacheSim::access. After a frame's first touch
+    // every member holds it, so a run's follow-on touches first-hit the
+    // smallest member.
+    BySource[0] += forEachFrame(Acc, Shift, [&](uint32_t Frame) {
+      const uint64_t TagPlusOne = uint64_t{Frame} + 1;
       size_t M = 0;
       for (; M != NumMembers; ++M) {
         const Lane &L = Lanes[M];
-        const uint32_t Set = static_cast<uint32_t>(Frame) & L.Mask;
+        const uint32_t Set = Frame & L.Mask;
         uint64_t &Slot = L.Tags[Set];
         if (Slot == TagPlusOne)
           break;
@@ -173,7 +196,7 @@ void DirectMappedCache::accessBatchNested(DirectMappedCache *const *Members,
           ++L.SetMisses[Set];
       }
       ++BySource[M];
-    }
+    });
   }
   // Every member sees every frame; member M missed those whose first hit
   // lies beyond it, a suffix sum over the first-hit counts.

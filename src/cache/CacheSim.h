@@ -108,9 +108,16 @@ public:
   /// Empties the cache and zeroes statistics.
   virtual void reset() = 0;
 
-  /// Splits an access into the block frames it covers and calls probe() for
-  /// each; updates statistics.
+  /// Splits a record into the block frames it covers and calls probe() for
+  /// each; updates statistics. A word run probes each block it touches
+  /// once and counts its other words there as hits (DESIGN.md §10).
   void access(const MemAccess &Access) final;
+
+  /// Probes every word of a word run, as AccessSink's default expansion
+  /// would, without building a record and a virtual call per word:
+  /// set-associative and victim caches do not collapse runs (DESIGN.md §10
+  /// says why). DirectMappedCache has its own loop.
+  void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// Enables the per-set miss profile (telemetry full level): misses are
   /// additionally counted per cache set, exposing the conflict structure
@@ -131,6 +138,9 @@ protected:
   /// Returns true on hit; updates replacement state.
   virtual bool probe(uint64_t BlockFrame) = 0;
 
+  /// One probe of \p Frame by a \p Source reference, with its statistics.
+  void countProbe(uint32_t Frame, unsigned Source);
+
   /// Set index a frame maps to (for the per-set miss profile).
   virtual uint32_t setIndexOf(uint64_t BlockFrame) const = 0;
 
@@ -149,9 +159,9 @@ public:
   void reset() override;
 
   /// Batch fast path: one pass over the records with the block shift, index
-  /// mask and tag array hoisted out of the loop and probe() inlined —
-  /// bit-identical to the scalar path by construction (the equivalence
-  /// suite enforces it).
+  /// mask and tag array hoisted out of the loop and probe() inlined, and one
+  /// probe per block a word run touches — bit-identical to the scalar path
+  /// by construction (the equivalence suite enforces it).
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
 private:

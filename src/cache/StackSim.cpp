@@ -120,12 +120,10 @@ uint32_t StackSim::stackDepthOf(uint64_t Frame) {
 
 void StackSim::access(const MemAccess &Acc) {
   const unsigned Source = static_cast<unsigned>(Acc.Source);
-  uint64_t First = Acc.Address >> BlockShift;
-  uint64_t Last = (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1)
-                  >> BlockShift;
   // Same frame split as CacheSim::access: an access straddling a block
-  // boundary counts once per block touched.
-  for (uint64_t Frame = First; Frame <= Last; ++Frame) {
+  // boundary counts once per block touched, and a run's follow-on touches
+  // of a block find it at depth 0.
+  const uint32_t Repeats = forEachFrame(Acc, BlockShift, [&](uint32_t Frame) {
     ++FramesBySource[Source];
     const uint32_t Depth = stackDepthOf(Frame);
     if (Depth == MaxAssoc)
@@ -133,12 +131,14 @@ void StackSim::access(const MemAccess &Acc) {
     else
       ++DistBySource[Source][Depth];
     if (ProfileEnabled) {
-      const uint32_t Set = static_cast<uint32_t>(Frame) & SetMask;
+      const uint32_t Set = Frame & SetMask;
       for (size_t M = 0; M != MemberAssoc.size(); ++M)
         if (MemberAssoc[M] <= Depth)
           ++SetMisses[M][Set];
     }
-  }
+  });
+  FramesBySource[Source] += Repeats;
+  DistBySource[Source][0] += Repeats;
 }
 
 void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
@@ -154,20 +154,18 @@ void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
     const unsigned Source = static_cast<unsigned>(Acc.Source);
-    const uint64_t First = Acc.Address >> Shift;
-    const uint64_t Last =
-        (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> Shift;
-    for (uint64_t Frame = First; Frame <= Last; ++Frame) {
+    // A run's follow-on touches of a frame find it at depth 0.
+    const uint32_t Repeats = forEachFrame(Acc, Shift, [&](uint32_t Frame) {
       ++Frames[Source];
-      const uint32_t Set = static_cast<uint32_t>(Frame) & Mask;
-      const uint64_t TagPlusOne = Frame + 1;
+      const uint32_t Set = Frame & Mask;
+      const uint64_t TagPlusOne = uint64_t{Frame} + 1;
       uint64_t *Stack = StackData + static_cast<size_t>(Set) * Depths;
       // MRU fast path: a depth-0 hit moves nothing and (Assoc >= 1 in
       // every valid config) misses in no member.
       uint64_t Prev = Stack[0];
       if (Prev == TagPlusOne) {
         ++DistBySource[Source][0];
-        continue;
+        return;
       }
       // Search and reposition in one pass, as stackDepthOf does.
       Stack[0] = TagPlusOne;
@@ -189,6 +187,10 @@ void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
         for (size_t M = 0; M != MemberAssoc.size(); ++M)
           if (MemberAssoc[M] <= Depth)
             ++SetMisses[M][Set];
+    });
+    if (Repeats != 0) {
+      Frames[Source] += Repeats;
+      DistBySource[Source][0] += Repeats;
     }
   }
   for (unsigned S = 0; S != NumAccessSources; ++S) {

@@ -74,8 +74,9 @@ public:
   void access(const MemAccess &Access) override;
 
   /// Batch fast path with the stack storage, set mask and block shift
-  /// hoisted out of the record loop — same frame split and same stack
-  /// update as the scalar path, so the counts are bit-identical.
+  /// hoisted out of the record loop and one stack search per block a word
+  /// run touches — same frame split and same stack update as the scalar
+  /// path, so the counts are bit-identical.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// Empties every stack and zeroes all counters.

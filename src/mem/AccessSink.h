@@ -26,18 +26,22 @@ class AccessSink {
 public:
   virtual ~AccessSink();
 
-  /// Consumes one reference.
+  /// Consumes one record. The sinks that handle word runs (the cache
+  /// simulators, StackSim, PageSim) accept a run here too; a sink on the
+  /// default accessBatch receives only single references.
   virtual void access(const MemAccess &Access) = 0;
 
-  /// Consumes \p Count references at once. The records are in stream order
-  /// and the default simply loops over access(), so overriding is purely a
-  /// throughput optimization: hot sinks (cache banks, the page simulator,
-  /// trace writers) provide tight batch loops with per-batch-hoisted state,
-  /// and the equivalence suite proves every override bit-identical to the
-  /// scalar path.
+  /// Consumes \p Count records at once, in stream order. A record may be a
+  /// word run (MemAccess::Run, DESIGN.md §10); the default expands
+  /// every run into its words and loops over access(), so a sink that does
+  /// not override this sees the same per-word stream as scalar delivery.
+  /// Overriding is purely a throughput optimization: hot sinks (direct-
+  /// mapped caches, StackSim, the page simulator) provide batch loops that
+  /// handle a run with one probe per block, and the equivalence suites
+  /// prove every override bit-identical to the per-word path.
   virtual void accessBatch(const MemAccess *Batch, size_t Count) {
     for (size_t I = 0; I != Count; ++I)
-      access(Batch[I]);
+      forEachWord(Batch[I], [this](const MemAccess &Word) { access(Word); });
   }
 };
 

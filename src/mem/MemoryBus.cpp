@@ -68,6 +68,13 @@ void MemoryBus::flush() {
   }
 }
 
+void MemoryBus::deliverWords(const MemAccess &Run) {
+  forEachWord(Run, [this](const MemAccess &Word) {
+    Batch.push(Word);
+    flush();
+  });
+}
+
 void MemoryBus::accessBatch(const MemAccess *ReplayBatch, size_t Count) {
   for (size_t I = 0; I != Count; ++I)
     emit(ReplayBatch[I]);

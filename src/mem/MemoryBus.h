@@ -10,12 +10,15 @@
 /// column of the paper's Table 2), and forwards each reference to all
 /// attached sinks.
 ///
-/// Delivery is batched: emitted references are staged in a fixed-capacity
+/// Delivery is batched: emitted records are staged in a fixed-capacity
 /// AccessBatch and handed to the sinks through AccessSink::accessBatch when
-/// the batch fills or flush() is called. Counters update at *emit* time, so
-/// totalAccesses() et al. are exact at any moment; sink-side statistics
-/// become current at the next flush. The default batch capacity is 1 —
-/// delivery then happens on every emit, matching the historical scalar bus —
+/// the batch fills or flush() is called. A record may be a word run
+/// (emitRun; DESIGN.md §10 states the run record and its exactness), and
+/// every counter counts the references a record stands for. Counters update
+/// at *emit* time, so totalAccesses() et al. are exact at any moment;
+/// sink-side statistics become current at the next flush. The default batch
+/// capacity is 1 — delivery then happens on every emit and every run is
+/// expanded into its words, matching the historical word-at-a-time bus —
 /// and the experiment drivers raise it to AccessBatch::MaxCapacity via
 /// setBatchCapacity() for measurement runs (see DESIGN.md §10 for the
 /// flush-point contract that keeps HeapCheck observers exact under
@@ -60,15 +63,23 @@ public:
   void access(const MemAccess &Access) override { emit(Access); }
 
   /// Bulk replay entry (trace readers): counts and stages every record.
+  /// Runs are accepted like emit() accepts them.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
-  /// Emit: counts the reference and stages it for delivery, flushing when
-  /// the effective batch capacity is reached.
+  /// Emit: counts the references the record stands for and stages it for
+  /// delivery, flushing when the effective batch capacity is reached. Under
+  /// scalar delivery (capacity 1) a run is delivered word by word.
   void emit(const MemAccess &Access) {
     assert(!Flushing && "emit into the bus from inside a flush");
-    ++Total;
-    ++BySource[static_cast<unsigned>(Access.Source)];
-    ++ByKind[static_cast<unsigned>(Access.Kind)];
+    assert(Access.Run != 0 && "record of zero references");
+    const uint32_t Words = Access.words();
+    Total += Words;
+    BySource[static_cast<unsigned>(Access.Source)] += Words;
+    ByKind[static_cast<unsigned>(Access.Kind)] += Words;
+    if (Capacity == 1 && Access.Run != 1) {
+      deliverWords(Access);
+      return;
+    }
     Batch.push(Access);
     if (Batch.size() >= Capacity)
       flush();
@@ -77,6 +88,28 @@ public:
   /// Convenience emit.
   void emit(Addr Address, uint8_t Size, AccessKind Kind, AccessSource Source) {
     emit(MemAccess{Address, Size, Kind, Source});
+  }
+
+  /// Emits \p Words consecutive 4-byte references starting at \p First,
+  /// ascending (or descending when \p Descending), as records of at most
+  /// MaxRunWords words each. Same stream and counts as emitting the words
+  /// one at a time. A run record holds aligned words, so an unaligned
+  /// \p First is emitted word by word.
+  void emitRun(Addr First, uint32_t Words, bool Descending, AccessKind Kind,
+               AccessSource Source) {
+    if ((First & 3) != 0) {
+      for (; Words != 0; --Words, First = Descending ? First - 4 : First + 4)
+        emit(First, 4, Kind, Source);
+      return;
+    }
+    while (Words != 0) {
+      const uint32_t Chunk = Words < MaxRunWords ? Words : MaxRunWords;
+      const int Run = Descending && Chunk != 1 ? -static_cast<int>(Chunk)
+                                               : static_cast<int>(Chunk);
+      emit(MemAccess{First, 4, Kind, Source, static_cast<int8_t>(Run)});
+      First = Descending ? First - 4 * Chunk : First + 4 * Chunk;
+      Words -= Chunk;
+    }
   }
 
   /// Delivers all staged references to every attached sink, in stream
@@ -91,7 +124,7 @@ public:
   void setBatchCapacity(size_t NewCapacity);
   size_t batchCapacity() const { return Capacity; }
 
-  /// References staged but not yet delivered.
+  /// Records staged but not yet delivered (a staged run is one record).
   size_t pendingAccesses() const { return Batch.size(); }
 
   /// Total references seen (emit-time; includes staged ones).
@@ -129,6 +162,8 @@ private:
 
   bool isAttached(const AccessSink *Sink) const;
   void compactSinks();
+  /// Scalar delivery of a run: one single-word delivery per word.
+  void deliverWords(const MemAccess &Run);
 };
 
 } // namespace allocsim

@@ -51,6 +51,44 @@ private:
   uint64_t AllocInstr = 0;
 };
 
+/// Charges a fractional per-reference instruction cost (the profile's
+/// instructions per data reference) in whole instructions, carrying the
+/// remainder. advance(N) has exactly the effect of N steps of the double
+/// recurrence
+///
+///     Debt += PerRef; Whole = trunc(Debt); Debt -= Whole;  // charge Whole
+///
+/// including every IEEE rounding of the addition. For PerRef in
+/// [2^-10, 2^53) the recurrence runs in integer units of ulp(PerRef)
+/// (DESIGN.md §10): the addition rounds to 53 significant bits, ties to
+/// even, and Debt - Whole is exact (Sterbenz). A ratio whose additions can
+/// never round advances in closed form. Other ratios step the double
+/// recurrence itself.
+class FractionalCharge {
+public:
+  explicit FractionalCharge(double PerRef);
+
+  /// Advances over \p Refs references; returns the whole instructions they
+  /// charge.
+  uint64_t advance(uint64_t Refs);
+
+  /// The carried fraction: the recurrence's Debt, exactly.
+  double fraction() const;
+
+private:
+  double PerRef;
+  /// Debt of the double recurrence, outside the emulated range.
+  double Debt = 0;
+  bool Emulated = false;
+  /// Whether some step's sum can exceed 53 significant bits.
+  bool MayRound = false;
+  /// ulp(PerRef) == 2^-FracBits.
+  uint32_t FracBits = 0;
+  /// PerRef and Debt in units of ulp(PerRef).
+  uint64_t Step = 0;
+  uint64_t Frac = 0;
+};
+
 /// The paper's execution-time estimate (in cycles; 1 instruction = 1 cycle).
 struct TimeEstimate {
   uint64_t Instructions = 0;

@@ -4,7 +4,6 @@
 
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <istream>
 #include <limits>
@@ -56,16 +55,23 @@ void BinaryTraceWriter::access(const MemAccess &Access) {
 
 void BinaryTraceWriter::accessBatch(const MemAccess *Batch, size_t N) {
   unsigned char Buffer[AccessBatch::MaxCapacity * BinaryRecordBytes];
-  while (N != 0) {
-    const size_t Chunk = std::min(N, AccessBatch::MaxCapacity);
-    for (size_t I = 0; I != Chunk; ++I)
-      encodeBinaryRecord(Batch[I], Buffer + I * BinaryRecordBytes);
+  size_t Fill = 0;
+  auto Drain = [&] {
     OS.write(reinterpret_cast<const char *>(Buffer),
-             static_cast<std::streamsize>(Chunk * BinaryRecordBytes));
-    Count += Chunk;
-    Batch += Chunk;
-    N -= Chunk;
+             static_cast<std::streamsize>(Fill * BinaryRecordBytes));
+    Count += Fill;
+    Fill = 0;
+  };
+  static_assert(MaxRunWords <= AccessBatch::MaxCapacity);
+  for (size_t I = 0; I != N; ++I) {
+    if (Fill + Batch[I].words() > AccessBatch::MaxCapacity)
+      Drain();
+    forEachWord(Batch[I], [&](const MemAccess &Word) {
+      encodeBinaryRecord(Word, Buffer + Fill++ * BinaryRecordBytes);
+    });
   }
+  if (Fill != 0)
+    Drain();
 }
 
 BinaryTraceReader::BinaryTraceReader(std::istream &Stream) : IS(Stream) {
@@ -109,14 +115,14 @@ void TextTraceWriter::accessBatch(const MemAccess *Batch, size_t N) {
   std::string Buffer;
   Buffer.reserve(N * 20);
   char Line[48];
-  for (size_t I = 0; I != N; ++I) {
-    const MemAccess &Access = Batch[I];
-    const int Length =
-        std::snprintf(Line, sizeof(Line), "%c %08x %u %s\n",
-                      kindChar(Access.Kind), Access.Address, Access.Size,
-                      accessSourceName(Access.Source));
-    Buffer.append(Line, static_cast<size_t>(Length));
-  }
+  for (size_t I = 0; I != N; ++I)
+    forEachWord(Batch[I], [&](const MemAccess &Access) {
+      const int Length =
+          std::snprintf(Line, sizeof(Line), "%c %08x %u %s\n",
+                        kindChar(Access.Kind), Access.Address, Access.Size,
+                        accessSourceName(Access.Source));
+      Buffer.append(Line, static_cast<size_t>(Length));
+    });
   OS << Buffer;
 }
 

@@ -28,15 +28,12 @@
 
 namespace allocsim {
 
-/// AccessSink that appends every reference to an in-memory vector. Useful in
-/// tests and as a staging buffer for trace files.
+/// AccessSink that appends every reference to an in-memory vector, word
+/// runs expanded into their words. Useful in tests and as a staging buffer
+/// for trace files.
 class CollectingSink final : public AccessSink {
 public:
   void access(const MemAccess &Access) override { Records.push_back(Access); }
-
-  void accessBatch(const MemAccess *Batch, size_t Count) override {
-    Records.insert(Records.end(), Batch, Batch + Count);
-  }
 
   const std::vector<MemAccess> &records() const { return Records; }
   void clear() { Records.clear(); }
@@ -52,9 +49,9 @@ public:
 
   void access(const MemAccess &Access) override;
 
-  /// Encodes the whole batch into one stack buffer and issues a single
-  /// stream write — the same bytes the scalar path writes one record at a
-  /// time.
+  /// Encodes the batch, word runs expanded into their words, into one stack
+  /// buffer per MaxCapacity words and issues a single stream write for each
+  /// — the same bytes the scalar path writes one record at a time.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// Number of records written.
@@ -78,7 +75,7 @@ private:
   std::istream &IS;
 };
 
-/// Writes one text line per reference.
+/// Writes one text line per reference (a word run is one line per word).
 class TextTraceWriter final : public AccessSink {
 public:
   explicit TextTraceWriter(std::ostream &Stream) : OS(Stream) {}

@@ -5,15 +5,14 @@
 #include "stats/Telemetry.h"
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace allocsim;
 
 PageSim::PageSim(uint32_t SimPageBytes, uint32_t SlotCapacity)
     : PageBytes(SimPageBytes) {
-  if (PageBytes == 0 || (PageBytes & (PageBytes - 1)) != 0)
-    reportFatalError("page size must be a power of two");
+  if (PageBytes < 4 || (PageBytes & (PageBytes - 1)) != 0)
+    reportFatalError("page size must be a power of two of at least 4 bytes");
   if (SlotCapacity < 16)
     reportFatalError("slot capacity too small");
   PageShift = static_cast<uint32_t>(__builtin_ctz(PageBytes));
@@ -112,84 +111,59 @@ void PageSim::flushRunTelemetry() {
   CurrentRunLen = 0;
 }
 
+void PageSim::touchPage(uint32_t Page, uint32_t Touches) {
+  References += Touches;
+  if (RunLenHist)
+    noteRunPage(Page, Touches);
+  // Fast path: a re-reference to the most recent page has stack distance
+  // zero and leaves the LRU order unchanged. This covers the bulk of a
+  // program's references (object sweeps, stack traffic).
+  if (HaveRecent && Page == MostRecentPage) {
+    ZeroDistanceHits += Touches;
+    return;
+  }
+  // Touches after the first re-reference the page this one makes most
+  // recent.
+  ZeroDistanceHits += Touches - 1;
+  if (NextSlot == SlotPage.size())
+    compact();
+
+  uint32_t &Slot = slotOf(Page);
+  if (Slot == 0) {
+    ++ColdFaults;
+    DistanceCounts.push_back(0);
+  } else {
+    // Distance = number of distinct pages referenced after this page's
+    // previous access = active slots beyond its slot. It is below the
+    // distinct-page count, the size of DistanceCounts.
+    const uint32_t Distance = ActiveSlots - liveUpTo(Slot);
+    assert(Distance != 0 && Distance < DistanceCounts.size() &&
+           "stack distance out of range");
+    ++DistanceCounts[Distance];
+    markSlot(Slot, false);
+    --ActiveSlots;
+  }
+  Slot = NextSlot++;
+  SlotPage[Slot] = Page;
+  markSlot(Slot, true);
+  ++ActiveSlots;
+  MostRecentPage = Page;
+  HaveRecent = true;
+}
+
 void PageSim::access(const MemAccess &Acc) {
   // A multi-byte access that straddles a page boundary touches both pages;
   // with 4 KB pages and word accesses this is effectively never taken, but
-  // correctness is cheap.
-  uint64_t FirstPage = Acc.Address >> PageShift;
-  uint64_t LastPage =
-      (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> PageShift;
-  for (uint64_t Page = FirstPage; Page <= LastPage; ++Page) {
-    ++References;
-    if (RunLenHist)
-      noteRunPage(Page, 1);
-    // Fast path: a re-reference to the most recent page has stack distance
-    // zero and leaves the LRU order unchanged. This covers the bulk of a
-    // program's references (object sweeps, stack traffic).
-    if (HaveRecent && Page == MostRecentPage) {
-      ++ZeroDistanceHits;
-      continue;
-    }
-    if (NextSlot == SlotPage.size())
-      compact();
-
-    const uint32_t Page32 = static_cast<uint32_t>(Page);
-    uint32_t &Slot = slotOf(Page32);
-    if (Slot == 0) {
-      ++ColdFaults;
-      DistanceCounts.push_back(0);
-    } else {
-      // Distance = number of distinct pages referenced after this page's
-      // previous access = active slots beyond its slot. It is below the
-      // distinct-page count, the size of DistanceCounts.
-      const uint32_t Distance = ActiveSlots - liveUpTo(Slot);
-      assert(Distance != 0 && Distance < DistanceCounts.size() &&
-             "stack distance out of range");
-      ++DistanceCounts[Distance];
-      markSlot(Slot, false);
-      --ActiveSlots;
-    }
-    Slot = NextSlot++;
-    SlotPage[Slot] = Page32;
-    markSlot(Slot, true);
-    ++ActiveSlots;
-    MostRecentPage = Page;
-    HaveRecent = true;
-  }
+  // correctness is cheap. A run touches each page it crosses as many times
+  // in a row as it has words there.
+  const FrameWalk Walk = frameWalk(Acc, PageShift);
+  for (uint32_t I = 0; I != Walk.Count; ++I)
+    touchPage(Walk.frame(I), Walk.touches(I));
 }
 
 void PageSim::accessBatch(const MemAccess *Batch, size_t Count) {
-  size_t I = 0;
-  while (I != Count) {
-    if (HaveRecent) {
-      // Run-length skip: count records wholly inside the MRU page. Checking
-      // First and Last against the same page also routes straddling
-      // accesses to the scalar path, where they split per page as always.
-      const uint64_t Recent = MostRecentPage;
-      const uint32_t Shift = PageShift;
-      const size_t RunStart = I;
-      while (I != Count) {
-        const MemAccess &Acc = Batch[I];
-        const uint64_t First = Acc.Address >> Shift;
-        const uint64_t Last =
-            (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> Shift;
-        if (First != Recent || Last != Recent)
-          break;
-        ++I;
-      }
-      const uint64_t Run = I - RunStart;
-      References += Run;
-      ZeroDistanceHits += Run;
-      // Same decision the scalar path makes per record: every record in the
-      // skipped run is one page-touch of the MRU page.
-      if (RunLenHist && Run != 0)
-        noteRunPage(Recent, Run);
-      if (I == Count)
-        return;
-    }
+  for (size_t I = 0; I != Count; ++I)
     access(Batch[I]);
-    ++I;
-  }
 }
 
 uint64_t PageSim::faults(uint64_t MemoryPages) const {

@@ -43,7 +43,8 @@ class TelemetryHistogram;
 /// LRU page-fault simulator over the reference stream.
 class PageSim final : public AccessSink {
 public:
-  /// \p PageBytes must be a power of two; the paper uses 4 KB pages.
+  /// \p PageBytes must be a power of two of at least a word (4 bytes); the
+  /// paper uses 4 KB pages.
   /// \p SlotCapacity is the initial number of slots (at least 16); it
   /// doubles at compaction as the working set grows. Tests shrink it to
   /// exercise compaction and growth.
@@ -51,12 +52,11 @@ public:
 
   void access(const MemAccess &Access) override;
 
-  /// Batch fast path: a run of consecutive records falling wholly inside
-  /// the most recently used page is a run of zero-stack-distance hits, so
-  /// the whole run collapses to two counter additions — no hash lookup, no
-  /// Fenwick work. Records that leave the page (or straddle one) fall back
-  /// to the scalar path one at a time. Bit-identical to scalar delivery:
-  /// the scalar fast path makes exactly the same per-record decision.
+  /// Passes word runs to access() whole: a run is split at page boundaries
+  /// and each page it touches costs one stack update; the run's other words
+  /// in that page are zero-distance hits, so they collapse to counter
+  /// additions (DESIGN.md §10). Bit-identical to scalar delivery, which
+  /// makes the same decision word by word.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// Number of references processed.
@@ -95,6 +95,11 @@ public:
   void flushRunTelemetry();
 
 private:
+  /// \p Touches consecutive references to \p Page: the first finds the
+  /// page's stack distance and makes it most recent, the rest hit it at
+  /// distance zero.
+  void touchPage(uint32_t Page, uint32_t Touches);
+
   /// Per-page-touch run tracking for the run-length histogram.
   void noteRunPage(uint64_t Page, uint64_t Touches);
 

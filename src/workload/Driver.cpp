@@ -14,19 +14,15 @@ Driver::Driver(Allocator &DriverAlloc, MemoryBus &DriverBus,
                CostModel &DriverCost, double AppInstrPerRef,
                uint32_t StackWindow)
     : Alloc(DriverAlloc), Bus(DriverBus), Cost(DriverCost),
-      InstrPerRef(AppInstrPerRef), StackWindowBytes(StackWindow) {
+      InstrCharge(AppInstrPerRef), StackWindowBytes(StackWindow) {
   assert(StackWindowBytes >= 64 && (StackWindowBytes & 3) == 0 &&
          "degenerate stack window");
 }
 
-void Driver::chargeRef() {
-  ++AppRefs;
-  InstrDebt += InstrPerRef;
-  auto Whole = static_cast<uint64_t>(InstrDebt);
-  if (Whole > 0) {
+void Driver::chargeRefs(uint32_t Words) {
+  AppRefs += Words;
+  if (uint64_t Whole = InstrCharge.advance(Words))
     Cost.chargeApp(Whole);
-    InstrDebt -= static_cast<double>(Whole);
-  }
 }
 
 void Driver::attachTelemetry(Telemetry *Registry) {
@@ -131,24 +127,34 @@ void Driver::touchObject(Addr Address, uint32_t ObjectWords, uint32_t Words,
                          AccessKind Kind) {
   assert(ObjectWords > 0 && "touch of empty object");
   // Sequential field sweep from the object's start, wrapping for touches
-  // longer than the object.
-  for (uint32_t I = 0; I != Words; ++I) {
-    Addr Word = Address + 4 * (I % ObjectWords);
-    Bus.emit(Word, 4, Kind, AccessSource::Application);
-    chargeRef();
+  // longer than the object: one ascending run per pass over the object.
+  for (uint32_t Left = Words; Left != 0;) {
+    const uint32_t Pass = Left < ObjectWords ? Left : ObjectWords;
+    Bus.emitRun(Address, Pass, /*Descending=*/false, Kind,
+                AccessSource::Application);
+    Left -= Pass;
   }
+  chargeRefs(Words);
 }
 
 void Driver::touchStack(uint32_t Words, AccessKind Kind) {
-  // Zig-zag sweep: the push/pop address pattern of call frames.
-  for (uint32_t I = 0; I != Words; ++I) {
-    Bus.emit(StackBase + StackPos, 4, Kind, AccessSource::Application);
-    chargeRef();
-    if (StackPos + 4 >= StackWindowBytes)
-      StackDir = -1;
-    else if (StackPos == 0)
-      StackDir = 1;
-    StackPos = static_cast<uint32_t>(static_cast<int>(StackPos) +
-                                     4 * StackDir);
+  // Zig-zag sweep, the push/pop address pattern of call frames: up to the
+  // window's top word, down to offset 0, up again. Each direction is one
+  // run; the turning words are referenced once per turn.
+  const uint32_t Top = StackWindowBytes - 4;
+  for (uint32_t Left = Words; Left != 0;) {
+    const uint32_t ToTurn = (StackDown ? StackPos : Top - StackPos) / 4 + 1;
+    const uint32_t Leg = Left < ToTurn ? Left : ToTurn;
+    Bus.emitRun(StackBase + StackPos, Leg, StackDown, Kind,
+                AccessSource::Application);
+    Left -= Leg;
+    if (Leg == ToTurn) {
+      // Turned at an end: the next word is one step back inside.
+      StackPos = StackDown ? 4 : Top - 4;
+      StackDown = !StackDown;
+    } else {
+      StackPos = StackDown ? StackPos - 4 * Leg : StackPos + 4 * Leg;
+    }
   }
+  chargeRefs(Words);
 }

@@ -18,6 +18,9 @@
 ///    instructions-per-reference to the cost model, reproducing the paper's
 ///    instruction totals.
 ///
+/// Both sweeps reach the bus as word runs (MemoryBus::emitRun): one per
+/// object pass and one per stack direction, not one record per word.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALLOCSIM_WORKLOAD_DRIVER_H
@@ -87,7 +90,8 @@ private:
   void touchObject(Addr Address, uint32_t ObjectWords, uint32_t Words,
                    AccessKind Kind);
   void touchStack(uint32_t Words, AccessKind Kind);
-  void chargeRef();
+  /// Counts and charges \p Words application references.
+  void chargeRefs(uint32_t Words);
 
   struct ObjectInfo {
     Addr Address;
@@ -99,8 +103,7 @@ private:
   Allocator &Alloc;
   MemoryBus &Bus;
   CostModel &Cost;
-  double InstrPerRef;
-  double InstrDebt = 0;
+  FractionalCharge InstrCharge;
 
   std::unordered_map<uint32_t, ObjectInfo> Objects;
   uint64_t AppRefs = 0;
@@ -126,10 +129,10 @@ private:
   TelemetryHistogram *LifetimeHist = nullptr;
   std::array<TelemetryHistogram *, 4> OpInstrHists{};
 
-  /// Stack zig-zag state.
+  /// Stack zig-zag state: the next word's offset and direction.
   uint32_t StackWindowBytes;
   uint32_t StackPos = 0;
-  int StackDir = 1;
+  bool StackDown = false;
 };
 
 } // namespace allocsim

@@ -69,8 +69,7 @@ void expectStatsEqual(const CacheStats &Per, const CacheStats &Dist,
 /// Synthesizes a reference stream that exercises every dimension the frame
 /// split and set mapping care about: all three sources, sizes that straddle
 /// block boundaries, reuse at many distances, and addresses whose Size
-/// extension wraps the 32-bit space (both engines must agree on the
-/// degenerate empty frame range too).
+/// extension wraps past 0xFFFFFFFF into frame 0.
 std::vector<MemAccess> synthesizeStream(uint64_t Seed, size_t Count) {
   Rng R(Seed);
   std::vector<MemAccess> Stream;
@@ -125,6 +124,88 @@ void checkFamilyOnStream(const std::vector<CacheConfig> &Family,
     expectStatsEqual(ScalarStack.statsFor(I), BatchedStack.statsFor(I),
                      Member + " (stack scalar vs batched)");
   }
+}
+
+/// Seeded bus records as the driver and allocators emit them, plus the
+/// irregular single references a replayed trace may hold: ascending and
+/// descending word runs of 1..127 words that cross block boundaries
+/// mid-run, runs that end at or wrap past 0xFFFFFFFF, and single
+/// references of 1..64 bytes at any alignment.
+std::vector<MemAccess> synthesizeRunStream(uint64_t Seed, size_t Count) {
+  Rng R(Seed);
+  std::vector<MemAccess> Stream;
+  Stream.reserve(Count);
+  const Addr Bases[] = {HeapBase, HeapBase + 4096, StackBase,
+                        0xFFFFFFFCu - 8 * 1024};
+  for (size_t I = 0; I != Count; ++I) {
+    MemAccess Acc;
+    Acc.Address =
+        Bases[R.nextBelow(4)] + static_cast<Addr>(R.nextBelow(16 * 1024));
+    Acc.Kind = R.nextBool(0.3) ? AccessKind::Write : AccessKind::Read;
+    Acc.Source = static_cast<AccessSource>(R.nextBelow(NumAccessSources));
+    if (R.nextBool(0.2)) {
+      Acc.Size = static_cast<uint8_t>(1 + R.nextBelow(64));
+    } else {
+      Acc.Address &= ~Addr{3};
+      const int Words = 1 + static_cast<int>(R.nextBelow(MaxRunWords));
+      Acc.Run = static_cast<int8_t>(R.nextBool(0.3) ? -Words : Words);
+    }
+    Stream.push_back(Acc);
+  }
+  return Stream;
+}
+
+/// The single references a record stream stands for.
+std::vector<MemAccess> expandRuns(const std::vector<MemAccess> &Records) {
+  std::vector<MemAccess> Words;
+  for (const MemAccess &Record : Records)
+    forEachWord(Record, [&](const MemAccess &Word) { Words.push_back(Word); });
+  return Words;
+}
+
+/// Run-vs-word: the record stream goes to one bank and one StackSim
+/// through accessBatch; its word expansion goes to another pair one word
+/// at a time through access(), the per-word oracle. Every member's
+/// statistics and per-set miss profile must agree across all four.
+void checkRunsAgainstWords(const std::vector<CacheConfig> &Family,
+                           const std::vector<MemAccess> &Records,
+                           const std::string &What) {
+  ASSERT_EQ(describeStackFamilyProblem(Family), "");
+  CacheBank WordBank, RunBank;
+  for (const CacheConfig &Config : Family) {
+    WordBank.cache(WordBank.addCache(Config)).enableSetProfile();
+    RunBank.cache(RunBank.addCache(Config)).enableSetProfile();
+  }
+  StackSim WordStack(Family), RunStack(Family);
+  WordStack.enableSetProfile();
+  RunStack.enableSetProfile();
+
+  for (const MemAccess &Word : expandRuns(Records)) {
+    WordBank.access(Word);
+    WordStack.access(Word);
+  }
+  constexpr size_t Chunk = 256;
+  for (size_t Offset = 0; Offset < Records.size(); Offset += Chunk) {
+    const size_t Count = std::min(Chunk, Records.size() - Offset);
+    RunBank.accessBatch(Records.data() + Offset, Count);
+    RunStack.accessBatch(Records.data() + Offset, Count);
+  }
+
+  for (size_t I = 0; I != Family.size(); ++I) {
+    const std::string Member = What + ", member " + Family[I].describe();
+    const CacheStats &Words = WordBank.cache(I).stats();
+    expectStatsEqual(Words, RunBank.cache(I).stats(), Member + " (bank)");
+    expectStatsEqual(Words, WordStack.statsFor(I), Member + " (word stack)");
+    expectStatsEqual(Words, RunStack.statsFor(I), Member + " (run stack)");
+    EXPECT_EQ(WordBank.cache(I).setMissProfile(),
+              RunBank.cache(I).setMissProfile())
+        << Member;
+    EXPECT_EQ(WordBank.cache(I).setMissProfile(),
+              RunStack.setMissProfile(I))
+        << Member;
+  }
+  EXPECT_EQ(WordStack.distanceTotals(), RunStack.distanceTotals()) << What;
+  EXPECT_EQ(WordStack.coldMisses(), RunStack.coldMisses()) << What;
 }
 
 std::vector<std::filesystem::path> corpusScripts() {
@@ -197,8 +278,8 @@ TEST(CacheEngineEquivalenceTest, SynthesizedStreams) {
 }
 
 TEST(CacheEngineEquivalenceTest, TinyStreamEdges) {
-  // Empty stream, one access, and one whose frame range is empty because
-  // the 32-bit address arithmetic wraps.
+  // Empty stream, one access, and one whose bytes wrap past 0xFFFFFFFF
+  // (the top frame, then frame 0).
   const std::vector<CacheConfig> Family = stackCacheSweep();
   checkFamilyOnStream(Family, {}, "empty stream");
   checkFamilyOnStream(Family, {MemAccess{HeapBase, 4}}, "one access");
@@ -206,6 +287,69 @@ TEST(CacheEngineEquivalenceTest, TinyStreamEdges) {
   Wrap.Address = 0xFFFFFFFFu;
   Wrap.Size = 8;
   checkFamilyOnStream(Family, {Wrap}, "wrapping access");
+}
+
+TEST(CacheEngineEquivalenceTest, WordRunsMatchWordByWordDelivery) {
+  // One probe per block a run touches is exact at every block size: 4-byte
+  // blocks (no run collapses), 16, 32 and 64. Direct-mapped-only families
+  // run the bank's nested sweep; the others its per-cache loop, with the
+  // set-associative members on the word-expansion path.
+  const struct {
+    const char *Name;
+    std::vector<CacheConfig> Family;
+  } Families[] = {
+      {"fig678", stackCacheSweep()},
+      {"4B blocks", {CacheConfig{1024, 4, 1}, CacheConfig{2048, 4, 2}}},
+      {"16B blocks",
+       {CacheConfig{4096, 16, 1}, CacheConfig{8192, 16, 2},
+        CacheConfig{32 * 1024, 16, 8}}},
+      {"64B blocks", {CacheConfig{8192, 64, 1}, CacheConfig{16 * 1024, 64, 2}}},
+      {"single dm", {CacheConfig{16 * 1024, 32, 1}}},
+      {"fully-assoc", fullyAssocFamily()},
+  };
+  for (const auto &Entry : Families)
+    for (uint64_t Seed : {3u, 77u})
+      checkRunsAgainstWords(Entry.Family, synthesizeRunStream(Seed, 20000),
+                            std::string(Entry.Name) + " seed " +
+                                std::to_string(Seed));
+}
+
+TEST(CacheEngineEquivalenceTest, NestedSweepRunsMatchWordByWordDelivery) {
+  // The nested direct-mapped sweep (a bank of direct-mapped caches of one
+  // block size) against the same caches probed word by word.
+  for (uint32_t Block : {4u, 16u, 32u, 64u}) {
+    SCOPED_TRACE(std::to_string(Block) + "B blocks");
+    CacheBank WordBank, RunBank;
+    for (uint32_t Size : {1024u, 4096u, 16384u}) {
+      WordBank.cache(WordBank.addCache({Size, Block, 1})).enableSetProfile();
+      RunBank.cache(RunBank.addCache({Size, Block, 1})).enableSetProfile();
+    }
+    ASSERT_TRUE(RunBank.usesNestedSweep());
+    const std::vector<MemAccess> Records = synthesizeRunStream(Block, 20000);
+    for (const MemAccess &Word : expandRuns(Records))
+      WordBank.accessBatch(&Word, 1);
+    RunBank.accessBatch(Records.data(), Records.size());
+    for (size_t I = 0; I != WordBank.size(); ++I) {
+      expectStatsEqual(WordBank.cache(I).stats(), RunBank.cache(I).stats(),
+                       WordBank.cache(I).config().describe());
+      EXPECT_EQ(WordBank.cache(I).setMissProfile(),
+                RunBank.cache(I).setMissProfile());
+    }
+  }
+}
+
+TEST(CacheEngineEquivalenceTest, VictimCacheRunsMatchWordByWordDelivery) {
+  // Victim caches take runs through AccessSink's word expansion.
+  for (uint32_t Block : {16u, 32u}) {
+    VictimCache Words({4096, Block, 1}, 4), Runs({4096, Block, 1}, 4);
+    const std::vector<MemAccess> Records = synthesizeRunStream(Block, 20000);
+    for (const MemAccess &Word : expandRuns(Records))
+      Words.access(Word);
+    Runs.accessBatch(Records.data(), Records.size());
+    expectStatsEqual(Words.stats(), Runs.stats(),
+                     "victim, " + std::to_string(Block) + "B blocks");
+    EXPECT_EQ(Words.victimHits(), Runs.victimHits());
+  }
 }
 
 TEST(CacheEngineEquivalenceTest, CorpusScriptsAllAllocators) {

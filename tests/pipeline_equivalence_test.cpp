@@ -4,15 +4,18 @@
 // paper's methodology depends on bit-identical miss and fault counts across
 // allocators, so batching is only admissible if it changes *nothing* but
 // wall-clock time. This suite runs the same experiments twice — once with
-// scalar delivery (capacity-1 batches, the historical bus semantics) and
-// once with full batching — and requires every field of the results to be
-// exactly equal: instruction splits, Table-2 reference tallies, per-cache
-// per-source miss counts, page-fault curves, heap-check verdicts, and the
-// serialized trace bytes.
+// scalar delivery (capacity-1 batches that expand every word run, the
+// historical word-at-a-time bus and the oracle) and once with full
+// batching, where the driver's sweeps travel as word runs — and requires
+// every field of the results to be exactly equal: instruction splits,
+// Table-2 reference tallies, per-cache per-source miss counts, page-fault
+// curves, heap-check verdicts, and the serialized trace bytes.
 //
 //===----------------------------------------------------------------------===//
 
+#include "cache/StackSim.h"
 #include "core/MatrixRunner.h"
+#include "support/Rng.h"
 #include "trace/RefTrace.h"
 #include "vm/PageSim.h"
 #include "workload/Driver.h"
@@ -163,9 +166,73 @@ TEST(PipelineEquivalenceTest, GoldenMatrixSerializesIdentically) {
   EXPECT_EQ(Scalar.str(), Batched.str());
 }
 
+TEST(PipelineEquivalenceTest, RunsMatchWordsAcrossCacheGeometries) {
+  // Sinks split word runs at their own block size: 4-, 16- and 64-byte
+  // blocks, the nested sweep at 16 bytes, set-associative members on the
+  // word-expansion path, the stack engine, and small pages.
+  const struct {
+    const char *Name;
+    std::vector<CacheConfig> Caches;
+    CacheEngineKind Engine;
+    uint32_t PageBytes;
+  } Shapes[] = {
+      {"16B nested", {{4096, 16, 1}, {16 * 1024, 16, 1}},
+       CacheEngineKind::PerConfig, 4096},
+      {"mixed 4B/64B",
+       {{1024, 4, 1}, {16 * 1024, 64, 1}, {32 * 1024, 64, 4}},
+       CacheEngineKind::PerConfig, 64},
+      {"64B stack family",
+       {{8192, 64, 1}, {16 * 1024, 64, 2}, {32 * 1024, 64, 4}},
+       CacheEngineKind::StackDist, 256},
+  };
+  for (const auto &Shape : Shapes)
+    for (AllocatorKind Kind : {AllocatorKind::FirstFit, AllocatorKind::Bsd}) {
+      ExperimentConfig Config = paperConfig(WorkloadId::GsSmall, Kind);
+      Config.Caches = Shape.Caches;
+      Config.CacheEngine = Shape.Engine;
+      Config.PageBytes = Shape.PageBytes;
+      expectEquivalent(Config, std::string(Shape.Name) + "/" +
+                                   allocatorKindName(Kind));
+    }
+}
+
+TEST(PipelineEquivalenceTest, RunsBesideHeapCheckFlushPoints) {
+  // Touches right before a free and right after a malloc: the runs staged
+  // by the touch must be validated before the free's state transition, as
+  // the words were under scalar delivery. Includes a touch that wraps the
+  // object's end and stack runs that turn at both ends of the window.
+  std::vector<AllocEvent> Events;
+  for (uint32_t Id = 1; Id != 200; ++Id) {
+    Events.push_back(AllocEvent::makeMalloc(Id, 4 + 12 * (Id % 23)));
+    Events.push_back(
+        AllocEvent::makeTouch(Id, 1 + 37 * (Id % 11), AccessKind::Write));
+    Events.push_back(AllocEvent::makeStackTouch(300 + Id, AccessKind::Read));
+    if (Id % 3 == 0) {
+      Events.push_back(
+          AllocEvent::makeTouch(Id - 1, 128, AccessKind::Read));
+      Events.push_back(AllocEvent::makeFree(Id - 1));
+    }
+  }
+  for (AllocatorKind Kind :
+       {AllocatorKind::FirstFit, AllocatorKind::GnuLocal, AllocatorKind::Bsd}) {
+    ExperimentConfig Config = paperConfig(WorkloadId::Espresso, Kind);
+    Config.Check.Level = CheckLevel::Full;
+    Config.Check.IntervalOps = 1;
+    Config.Check.AbortOnViolation = false;
+    Config.BatchedDelivery = false;
+    RunResult Scalar = runScriptExperiment(Config, Events);
+    Config.BatchedDelivery = true;
+    RunResult Batched = runScriptExperiment(Config, Events);
+    EXPECT_EQ(Scalar.CheckViolations, 0u);
+    expectIdentical(Scalar, Batched,
+                    std::string("flush points/") + allocatorKindName(Kind));
+  }
+}
+
 TEST(PipelineEquivalenceTest, BinaryTraceBytesIdentical) {
-  // The trace writer is a sink like any other: a batched capture must
-  // serialize the very same bytes as a scalar capture.
+  // The trace writer is a sink like any other: a batched capture, whose
+  // records are word runs, must serialize the very same bytes as a scalar
+  // capture.
   auto Capture = [](bool Batch) {
     std::ostringstream Out(std::ios::binary);
     BinaryTraceWriter Writer(Out);
@@ -190,6 +257,180 @@ TEST(PipelineEquivalenceTest, BinaryTraceBytesIdentical) {
   std::string Batched = Capture(true);
   ASSERT_FALSE(Scalar.empty());
   EXPECT_EQ(Scalar, Batched);
+}
+
+TEST(PipelineEquivalenceTest, TextTraceBytesIdentical) {
+  // Same for the text writer: one line per word either way.
+  auto Capture = [](bool Batch) {
+    std::ostringstream Out;
+    TextTraceWriter Writer(Out);
+    MemoryBus Bus;
+    if (Batch)
+      Bus.setBatchCapacity(AccessBatch::MaxCapacity);
+    Bus.attach(&Writer);
+    SimHeap Heap(Bus);
+    CostModel Cost;
+    std::unique_ptr<Allocator> Alloc =
+        createAllocator(AllocatorKind::QuickFit, Heap, Cost);
+    const AppProfile &Profile = getProfile(WorkloadId::Gawk);
+    EngineOptions Options;
+    Options.Scale = 2048;
+    WorkloadEngine Engine(Profile, Options);
+    Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
+    Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
+    Bus.flush();
+    return Out.str();
+  };
+  std::string Scalar = Capture(false);
+  std::string Batched = Capture(true);
+  ASSERT_FALSE(Scalar.empty());
+  EXPECT_EQ(Scalar, Batched);
+}
+
+TEST(PipelineEquivalenceTest, RunsOfExactly127And128Words) {
+  // 127 words fill one record; 128 take a full record and a one-word one.
+  // Counters, record counts and the delivered words match the word bus.
+  for (bool Descending : {false, true}) {
+    SCOPED_TRACE(Descending ? "descending" : "ascending");
+    MemoryBus Runs, Words;
+    Runs.setBatchCapacity(AccessBatch::MaxCapacity);
+    CollectingSink RunSink, WordSink;
+    Runs.attach(&RunSink);
+    Words.attach(&WordSink);
+    const Addr Start = Descending ? HeapBase + 4096 : HeapBase;
+    for (MemoryBus *Bus : {&Runs, &Words}) {
+      Bus->emitRun(Start, 127, Descending, AccessKind::Read,
+                   AccessSource::Application);
+      Bus->emitRun(Start, 128, Descending, AccessKind::Write,
+                   AccessSource::Application);
+    }
+    EXPECT_EQ(Runs.pendingAccesses(), 3u);
+    EXPECT_EQ(Words.pendingAccesses(), 0u);
+    EXPECT_EQ(Runs.totalAccesses(), 255u);
+    EXPECT_EQ(Runs.reads(), 127u);
+    EXPECT_EQ(Runs.writes(), 128u);
+    EXPECT_EQ(Runs.accessesFrom(AccessSource::Application), 255u);
+    Runs.flush();
+    ASSERT_EQ(RunSink.records().size(), 255u);
+    ASSERT_EQ(WordSink.records().size(), 255u);
+    for (size_t I = 0; I != 255; ++I) {
+      const MemAccess &Run = RunSink.records()[I];
+      const MemAccess &Word = WordSink.records()[I];
+      const Addr Offset = 4 * static_cast<Addr>(I < 127 ? I : I - 127);
+      EXPECT_EQ(Word.Address, Descending ? Start - Offset : Start + Offset);
+      EXPECT_EQ(Run.Address, Word.Address) << I;
+      EXPECT_EQ(Run.Kind, Word.Kind) << I;
+      EXPECT_EQ(Run.Run, 1);
+    }
+  }
+}
+
+TEST(PipelineEquivalenceTest, UnalignedRunStartsAreEmittedWordByWord) {
+  // A run record holds aligned words, so an unaligned start is emitted as
+  // single references, ascending or descending, with the same stream.
+  for (bool Descending : {false, true}) {
+    MemoryBus Bus;
+    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
+    Bus.emitRun(HeapBase + 2, 5, Descending, AccessKind::Read,
+                AccessSource::Application);
+    EXPECT_EQ(Bus.pendingAccesses(), 5u);
+    EXPECT_EQ(Bus.totalAccesses(), 5u);
+    CollectingSink Sink;
+    Bus.attach(&Sink);
+    Bus.emitRun(HeapBase + 2, 5, Descending, AccessKind::Read,
+                AccessSource::Application);
+    Bus.flush();
+    ASSERT_EQ(Sink.records().size(), 10u);
+    for (size_t I = 0; I != 5; ++I)
+      EXPECT_EQ(Sink.records()[5 + I].Address,
+                Descending ? HeapBase + 2 - 4 * static_cast<Addr>(I)
+                           : HeapBase + 2 + 4 * static_cast<Addr>(I));
+  }
+}
+
+TEST(PipelineEquivalenceTest, ReferencesWrappingPastTheTopCountEveryFrame) {
+  // A reference whose bytes run past 0xFFFFFFFF touches the top frame and
+  // then frame 0 in every sink; the last word of the address space touches
+  // one frame; and word runs ending at or wrapping past the top match their
+  // word-by-word delivery.
+  const CacheConfig Config{16 * 1024, 32, 1};
+  const struct {
+    MemAccess Record;
+    uint64_t Frames;
+  } Cases[] = {
+      {{0xFFFFFFFEu, 4, AccessKind::Read, AccessSource::Application}, 2},
+      {{0xFFFFFFFCu, 4, AccessKind::Read, AccessSource::Application}, 1},
+      {{0xFFFFFFFCu - 4 * 9, 4, AccessKind::Read, AccessSource::Application,
+        10},
+       10},
+      {{0xFFFFFFF8u, 4, AccessKind::Write, AccessSource::Allocator, 4}, 4},
+      {{0x00000004u, 4, AccessKind::Write, AccessSource::Application, -3},
+       3},
+  };
+  for (const auto &Case : Cases) {
+    SCOPED_TRACE(std::to_string(Case.Record.Address) + " run " +
+                 std::to_string(Case.Record.Run));
+    CacheBank WordBank, RunBank;
+    WordBank.addCache(Config);
+    RunBank.addCache(Config);
+    StackSim WordStack({Config}), RunStack({Config});
+    PageSim WordPages, RunPages;
+    forEachWord(Case.Record, [&](const MemAccess &Word) {
+      WordBank.access(Word);
+      WordStack.access(Word);
+      WordPages.access(Word);
+    });
+    RunBank.accessBatch(&Case.Record, 1);
+    RunStack.accessBatch(&Case.Record, 1);
+    RunPages.accessBatch(&Case.Record, 1);
+    for (const CacheBank *Bank : {&WordBank, &RunBank})
+      EXPECT_EQ(Bank->cache(0).stats().Accesses, Case.Frames);
+    for (const StackSim *Stack : {&WordStack, &RunStack})
+      EXPECT_EQ(Stack->totalFrames(), Case.Frames);
+    EXPECT_EQ(WordBank.cache(0).stats().Misses,
+              RunBank.cache(0).stats().Misses);
+    EXPECT_EQ(WordStack.coldMisses(), RunStack.coldMisses());
+    const uint64_t PageRefs = Case.Record.words() == 1 ? Case.Frames
+                                                       : Case.Record.words();
+    EXPECT_EQ(WordPages.references(), PageRefs);
+    EXPECT_EQ(RunPages.references(), PageRefs);
+    EXPECT_EQ(WordPages.distinctPages(), RunPages.distinctPages());
+    EXPECT_EQ(WordPages.zeroDistanceHits(), RunPages.zeroDistanceHits());
+  }
+}
+
+TEST(PipelineEquivalenceTest, PageSimRunsMatchWordByWordDelivery) {
+  // Ascending and descending runs that cross page boundaries, at 4K, 64-
+  // and 4-byte pages (one word per page: no run collapses), with the
+  // run-length telemetry attached.
+  for (uint32_t PageBytes : {4096u, 64u, 4u}) {
+    SCOPED_TRACE(std::to_string(PageBytes) + "-byte pages");
+    std::vector<MemAccess> Records;
+    Rng R(PageBytes);
+    for (int I = 0; I != 5000; ++I) {
+      MemAccess Acc;
+      Acc.Address = HeapBase + 4 * static_cast<Addr>(R.nextBelow(8192));
+      const int Words = 1 + static_cast<int>(R.nextBelow(MaxRunWords));
+      Acc.Run = static_cast<int8_t>(R.nextBool(0.4) ? -Words : Words);
+      Records.push_back(Acc);
+    }
+    Telemetry WordTelem(TelemetryLevel::Full), RunTelem(TelemetryLevel::Full);
+    PageSim Words(PageBytes), Runs(PageBytes);
+    Words.attachTelemetry(&WordTelem);
+    Runs.attachTelemetry(&RunTelem);
+    for (const MemAccess &Record : Records)
+      forEachWord(Record,
+                  [&](const MemAccess &Word) { Words.accessBatch(&Word, 1); });
+    Runs.accessBatch(Records.data(), Records.size());
+    Words.flushRunTelemetry();
+    Runs.flushRunTelemetry();
+    EXPECT_EQ(Words.references(), Runs.references());
+    EXPECT_EQ(Words.distinctPages(), Runs.distinctPages());
+    EXPECT_EQ(Words.zeroDistanceHits(), Runs.zeroDistanceHits());
+    for (uint64_t Pages : {1u, 2u, 8u, 64u, 1024u})
+      EXPECT_EQ(Words.faults(Pages), Runs.faults(Pages)) << Pages;
+    EXPECT_EQ(WordTelem.snapshot(), RunTelem.snapshot());
+  }
 }
 
 TEST(PipelineEquivalenceTest, PageSimRunSkipMatchesScalar) {

@@ -149,6 +149,46 @@ TEST(TelemetryEquivalenceTest, TelemetryItselfDeliveryIndependent) {
   }
 }
 
+TEST(TelemetryEquivalenceTest, WordRunsLeaveTelemetryUnchanged) {
+  // Batched delivery carries the driver's sweeps as word runs; scalar
+  // delivery expands them into words. The probes that watch that stream
+  // most closely must read the same either way: vm.page_run_len (page-run
+  // lengths, here at 64-byte pages so runs cross pages), the per-set miss
+  // profiles of both cache engines at 16- and 64-byte blocks, and the
+  // driver's per-operation instruction histograms (the fixed-point charge).
+  const struct {
+    std::vector<CacheConfig> Caches;
+    CacheEngineKind Engine;
+  } Shapes[] = {
+      {{{4096, 16, 1}, {16 * 1024, 16, 1}}, CacheEngineKind::PerConfig},
+      {{{8192, 64, 1}, {16 * 1024, 64, 2}}, CacheEngineKind::StackDist},
+  };
+  for (const auto &Shape : Shapes)
+    for (AllocatorKind Kind : {AllocatorKind::FirstFit, AllocatorKind::Bsd}) {
+      SCOPED_TRACE(allocatorKindName(Kind));
+      ExperimentConfig Config = paperConfig(WorkloadId::Gawk, Kind);
+      Config.Caches = Shape.Caches;
+      Config.CacheEngine = Shape.Engine;
+      Config.PageBytes = 64;
+      Config.Telemetry = TelemetryLevel::Full;
+      Config.BatchedDelivery = false;
+      RunResult Scalar = runExperiment(Config);
+      Config.BatchedDelivery = true;
+      RunResult Batched = runExperiment(Config);
+      EXPECT_EQ(Scalar.Telemetry, Batched.Telemetry);
+      for (const char *Name :
+           {"vm.page_run_len", "cache.0.set_misses", "cache.1.set_misses",
+            "driver.touch_instr", "driver.stack_instr", "driver.malloc_instr",
+            "driver.free_instr"}) {
+        EXPECT_GT(Batched.Telemetry.histogram(Name).Count, 0u) << Name;
+        EXPECT_EQ(Scalar.Telemetry.histogram(Name),
+                  Batched.Telemetry.histogram(Name))
+            << Name;
+      }
+      expectMeasurementsIdentical(Scalar, Batched, "scalar-vs-batched");
+    }
+}
+
 TEST(TelemetryEquivalenceTest, GoldenMatrixBytesUnchangedByTelemetry) {
   // The committed golden history is written with telemetry off; a full-
   // telemetry run of the same matrix must serialize the very same bytes

@@ -1,5 +1,6 @@
 //===- tests/workload_test.cpp - Workload engine and driver tests ---------===//
 
+#include "support/Rng.h"
 #include "trace/RefTrace.h"
 #include "workload/Driver.h"
 #include "workload/Engine.h"
@@ -288,6 +289,86 @@ TEST(DriverTest, FractionalInstrPerRefAccumulates) {
   Driver Drive(*Alloc, Bus, Cost, 3.37);
   Drive.execute(AllocEvent::makeStackTouch(10000, AccessKind::Read));
   EXPECT_NEAR(double(Cost.appInstructions()), 33700.0, 2.0);
+}
+
+TEST(DriverTest, ChargesExactlyTheDoubleRecurrence) {
+  // The fixed-point charge per touch must reproduce the per-reference
+  // double recurrence the driver used to run, for a ratio whose additions
+  // round (gawk's) and one whose additions never do (ptc's).
+  for (WorkloadId Id : {WorkloadId::Gawk, WorkloadId::Ptc}) {
+    const double PerRef = getProfile(Id).instrPerRef();
+    MemoryBus Bus;
+    SimHeap Heap(Bus);
+    CostModel Cost;
+    std::unique_ptr<Allocator> Alloc =
+        createAllocator(AllocatorKind::Bsd, Heap, Cost);
+    Driver Drive(*Alloc, Bus, Cost, PerRef);
+    double Debt = 0;
+    uint64_t Expected = 0;
+    Rng R(17);
+    for (int I = 0; I != 2000; ++I) {
+      const uint32_t Words = 1 + static_cast<uint32_t>(R.nextBelow(700));
+      Drive.execute(AllocEvent::makeStackTouch(Words, AccessKind::Read));
+      for (uint32_t W = 0; W != Words; ++W) {
+        Debt += PerRef;
+        const auto Whole = static_cast<uint64_t>(Debt);
+        Expected += Whole;
+        Debt -= static_cast<double>(Whole);
+      }
+    }
+    EXPECT_EQ(Cost.appInstructions(), Expected) << workloadName(Id);
+  }
+}
+
+TEST(DriverTest, TouchEmitsOneRunPerObjectPass) {
+  // 300 words over a 200-word object: one pass split at the 127-word
+  // record cap, then the wrapped pass.
+  DriverHarness H;
+  H.Bus.setBatchCapacity(AccessBatch::MaxCapacity);
+  H.Drive.execute(AllocEvent::makeMalloc(1, 800));
+  const Addr Base = H.Drive.addressOf(1);
+  H.Bus.flush();
+  CollectingSink Sink;
+  H.Bus.attach(&Sink);
+  H.Drive.execute(AllocEvent::makeTouch(1, 300, AccessKind::Write));
+  EXPECT_EQ(H.Bus.pendingAccesses(), 3u);
+  EXPECT_EQ(H.Bus.accessesFrom(AccessSource::Application), 300u);
+  H.Bus.flush();
+  ASSERT_EQ(Sink.records().size(), 300u);
+  for (uint32_t I = 0; I != 300; ++I) {
+    EXPECT_EQ(Sink.records()[I].Address, Base + 4 * (I % 200)) << I;
+    EXPECT_EQ(Sink.records()[I].Kind, AccessKind::Write);
+    EXPECT_EQ(Sink.records()[I].Run, 1);
+  }
+}
+
+TEST(DriverTest, StackRunsFollowTheWordZigZag) {
+  // The per-direction runs expand to exactly the word-at-a-time zig-zag:
+  // up to the window's top word, down to offset 0, up again.
+  DriverHarness H;
+  H.Bus.setBatchCapacity(AccessBatch::MaxCapacity);
+  CollectingSink Sink;
+  H.Bus.attach(&Sink);
+  std::vector<Addr> Expected;
+  uint32_t Pos = 0;
+  int Dir = 1;
+  Rng R(5);
+  for (int I = 0; I != 300; ++I) {
+    const uint32_t Words = 1 + static_cast<uint32_t>(R.nextBelow(1500));
+    H.Drive.execute(AllocEvent::makeStackTouch(Words, AccessKind::Read));
+    for (uint32_t W = 0; W != Words; ++W) {
+      Expected.push_back(StackBase + Pos);
+      if (Pos + 4 >= 2048)
+        Dir = -1;
+      else if (Pos == 0)
+        Dir = 1;
+      Pos = static_cast<uint32_t>(static_cast<int>(Pos) + 4 * Dir);
+    }
+  }
+  H.Bus.flush();
+  ASSERT_EQ(Sink.records().size(), Expected.size());
+  for (size_t I = 0; I != Expected.size(); ++I)
+    ASSERT_EQ(Sink.records()[I].Address, Expected[I]) << "word " << I;
 }
 
 TEST(DriverTest, FreeOfUnknownIdIsFatal) {
