@@ -13,6 +13,11 @@
 //   paging        the page simulator alone (Figure 2-3)
 //   trace         a binary trace writer to a discarding stream
 //   bare          no sinks: counter-only upper bound on the event engine
+//   replay        the captured binary trace of the same run replayed into
+//                 the Figure 6-8 sweep: scalar is BinaryTraceReader::next()
+//                 plus CacheBank::access() per reference, batched is
+//                 replayTrace (bulk reads re-forming word runs); the trace
+//                 is captured in memory outside the timed region
 //
 // Emits the summary as JSON (schema allocsim-bench-pipeline-v1) for the
 // perf-smoke CI job. The committed baseline at the repo root
@@ -40,6 +45,7 @@
 #include <iostream>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <streambuf>
 #include <vector>
 
@@ -54,6 +60,15 @@ protected:
   int overflow(int Ch) override { return Ch; }
   std::streamsize xsputn(const char *, std::streamsize Count) override {
     return Count;
+  }
+};
+
+/// Reads a captured trace in place, so replay measures decoding, not a copy.
+class ViewStreamBuf : public std::streambuf {
+public:
+  explicit ViewStreamBuf(const std::string &Bytes) {
+    char *Begin = const_cast<char *>(Bytes.data());
+    setg(Begin, Begin, Begin + Bytes.size());
   }
 };
 
@@ -80,9 +95,11 @@ struct Measurement {
 /// Runs the full pipeline once and returns (refs, seconds). The timed
 /// region covers everything an experiment's hot loop does: event
 /// synthesis, allocator execution, reference emission, and sink delivery.
+/// A trace configuration writes to \p TraceOut when given, else discards.
 std::pair<uint64_t, double> runOnce(const PipelineConfig &Config,
                                     bool Batched,
-                                    const BenchOptions &Options) {
+                                    const BenchOptions &Options,
+                                    std::ostream *TraceOut = nullptr) {
   MemoryBus Bus;
   if (Batched)
     Bus.setBatchCapacity(AccessBatch::MaxCapacity);
@@ -106,7 +123,8 @@ std::pair<uint64_t, double> runOnce(const PipelineConfig &Config,
   std::ostream NullStream(&NullBuf);
   std::unique_ptr<BinaryTraceWriter> Writer;
   if (Config.Trace) {
-    Writer = std::make_unique<BinaryTraceWriter>(NullStream);
+    Writer = std::make_unique<BinaryTraceWriter>(TraceOut ? *TraceOut
+                                                          : NullStream);
     Bus.attach(Writer.get());
   }
 
@@ -129,16 +147,40 @@ std::pair<uint64_t, double> runOnce(const PipelineConfig &Config,
   return {Bus.totalAccesses(), Seconds};
 }
 
-/// Best-of-N timing: the minimum wall time is the least-noisy estimate of
+/// Replays \p Trace into the Figure 6-8 sweep once and returns (refs,
+/// seconds): reference by reference when scalar, else through replayTrace.
+std::pair<uint64_t, double> replayOnce(const std::string &Trace,
+                                       bool Batched) {
+  CacheBank Caches;
+  for (const CacheConfig &CacheConf : paperCacheSweep())
+    Caches.addCache(CacheConf);
+  ViewStreamBuf View(Trace);
+  std::istream Stream(&View);
+  auto Start = std::chrono::steady_clock::now();
+  BinaryTraceReader Reader(Stream);
+  uint64_t Refs = 0;
+  if (Batched) {
+    Refs = replayTrace(Reader, Caches);
+  } else {
+    MemAccess Access;
+    for (; Reader.next(Access); ++Refs)
+      Caches.access(Access);
+  }
+  auto End = std::chrono::steady_clock::now();
+  return {Refs, std::chrono::duration<double>(End - Start).count()};
+}
+
+/// Best-of-N timing of \p Reps scalar-then-batched pairs, \p Run(Batched)
+/// timing one pass: the minimum wall time is the least-noisy estimate of
 /// the pipeline's actual cost.
-Measurement measure(const PipelineConfig &Config, unsigned Reps,
-                    const BenchOptions &Options) {
+template <typename RunFn>
+Measurement measure(const std::string &Name, unsigned Reps, RunFn &&Run) {
   Measurement Result;
-  Result.Name = Config.Name;
+  Result.Name = Name;
   double ScalarBest = 0, BatchedBest = 0;
   for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-    auto [Refs, ScalarSec] = runOnce(Config, /*Batched=*/false, Options);
-    auto [RefsB, BatchedSec] = runOnce(Config, /*Batched=*/true, Options);
+    auto [Refs, ScalarSec] = Run(/*Batched=*/false);
+    auto [RefsB, BatchedSec] = Run(/*Batched=*/true);
     if (Refs != RefsB)
       reportFatalError("batched run emitted a different reference count");
     Result.Refs = Refs;
@@ -192,7 +234,9 @@ int main(int Argc, char **Argv) {
   bool Quick = Cli.getBool("quick");
   if (Quick && Options->Scale == 8)
     Options->Scale = 16; // smaller run, same machinery
-  unsigned Reps = Quick ? 2 : 4;
+  // The CI gate judges a single quick run, so quick runs take more
+  // repetitions for a steadier best-of-N.
+  unsigned Reps = Quick ? 6 : 4;
 
   printBanner("reference-pipeline throughput: scalar vs batched delivery "
               "(gs-small, FirstFit)",
@@ -208,7 +252,17 @@ int main(int Argc, char **Argv) {
 
   std::vector<Measurement> Rows;
   for (const PipelineConfig &Config : Configs)
-    Rows.push_back(measure(Config, Reps, *Options));
+    Rows.push_back(measure(Config.Name, Reps, [&](bool Batched) {
+      return runOnce(Config, Batched, *Options);
+    }));
+
+  std::ostringstream Capture(std::ios::binary);
+  runOnce({"capture", false, false, false, /*Trace=*/true}, /*Batched=*/true,
+          *Options, &Capture);
+  const std::string Trace = std::move(Capture).str();
+  Rows.push_back(measure("replay", Reps, [&](bool Batched) {
+    return replayOnce(Trace, Batched);
+  }));
 
   Table Out({"config", "refs(M)", "scalar Mref/s", "batched Mref/s",
              "speedup"});

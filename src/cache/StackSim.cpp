@@ -118,27 +118,25 @@ uint32_t StackSim::stackDepthOf(uint64_t Frame) {
   return MaxAssoc;
 }
 
-void StackSim::access(const MemAccess &Acc) {
+void StackSim::access(const MemAccess &Acc) { accessBatch(&Acc, 1); }
+
+void StackSim::accessRun(const MemAccess &Acc) {
+  // One stack search per frame; a run's follow-on touches of a frame find
+  // it at depth 0.
   const unsigned Source = static_cast<unsigned>(Acc.Source);
-  // Same frame split as CacheSim::access: an access straddling a block
-  // boundary counts once per block touched, and a run's follow-on touches
-  // of a block find it at depth 0.
-  const uint32_t Repeats = forEachFrame(Acc, BlockShift, [&](uint32_t Frame) {
-    ++FramesBySource[Source];
+  const FrameWalk Walk = frameWalk(Acc, BlockShift);
+  for (uint32_t F = 0; F != Walk.Count; ++F) {
+    const uint32_t Frame = Walk.frame(F);
     const uint32_t Depth = stackDepthOf(Frame);
     if (Depth == MaxAssoc)
       ++InfBySource[Source];
     else
       ++DistBySource[Source][Depth];
-    if (ProfileEnabled) {
-      const uint32_t Set = Frame & SetMask;
-      for (size_t M = 0; M != MemberAssoc.size(); ++M)
-        if (MemberAssoc[M] <= Depth)
-          ++SetMisses[M][Set];
-    }
-  });
-  FramesBySource[Source] += Repeats;
-  DistBySource[Source][0] += Repeats;
+    if (ProfileEnabled)
+      countSetMisses(Frame & SetMask, Depth);
+  }
+  FramesBySource[Source] += Acc.words();
+  DistBySource[Source][0] += Walk.Repeats;
 }
 
 void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
@@ -153,9 +151,14 @@ void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
   uint64_t Cold[NumAccessSources] = {};
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
+    if (Acc.Run != 1) [[unlikely]] {
+      accessRun(Acc);
+      continue;
+    }
     const unsigned Source = static_cast<unsigned>(Acc.Source);
-    // A run's follow-on touches of a frame find it at depth 0.
-    const uint32_t Repeats = forEachFrame(Acc, Shift, [&](uint32_t Frame) {
+    const FrameWalk Walk = frameWalk(Acc, Shift);
+    for (uint32_t F = 0; F != Walk.Count; ++F) {
+      const uint32_t Frame = Walk.frame(F);
       ++Frames[Source];
       const uint32_t Set = Frame & Mask;
       const uint64_t TagPlusOne = uint64_t{Frame} + 1;
@@ -165,7 +168,7 @@ void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
       uint64_t Prev = Stack[0];
       if (Prev == TagPlusOne) {
         ++DistBySource[Source][0];
-        return;
+        continue;
       }
       // Search and reposition in one pass, as stackDepthOf does.
       Stack[0] = TagPlusOne;
@@ -184,13 +187,7 @@ void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
       else
         ++DistBySource[Source][Depth];
       if (ProfileEnabled)
-        for (size_t M = 0; M != MemberAssoc.size(); ++M)
-          if (MemberAssoc[M] <= Depth)
-            ++SetMisses[M][Set];
-    });
-    if (Repeats != 0) {
-      Frames[Source] += Repeats;
-      DistBySource[Source][0] += Repeats;
+        countSetMisses(Set, Depth);
     }
   }
   for (unsigned S = 0; S != NumAccessSources; ++S) {

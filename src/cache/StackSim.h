@@ -71,6 +71,7 @@ public:
   /// Assoc > D and misses the rest; cold/overflow references miss everyone.
   CacheStats statsFor(size_t Index) const;
 
+  /// A one-record accessBatch.
   void access(const MemAccess &Access) override;
 
   /// Batch fast path with the stack storage, set mask and block shift
@@ -114,6 +115,18 @@ private:
   /// it was found at, or MaxAssoc for cold/overflow; repositions the frame
   /// at MRU either way.
   uint32_t stackDepthOf(uint64_t Frame);
+
+  /// accessBatch's word-run arm, kept out of line so the batch loop over
+  /// single references keeps its registers.
+  [[gnu::noinline]] void accessRun(const MemAccess &Acc);
+
+  /// Per-set profile: counts a miss of set \p Set in every member that a
+  /// frame found at \p Depth misses.
+  void countSetMisses(uint32_t Set, uint32_t Depth) {
+    for (size_t M = 0; M != MemberAssoc.size(); ++M)
+      if (MemberAssoc[M] <= Depth)
+        ++SetMisses[M][Set];
+  }
 
   std::vector<CacheConfig> Family;
   uint32_t NumSets = 1;

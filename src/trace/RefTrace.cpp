@@ -5,6 +5,7 @@
 #include "support/Error.h"
 
 #include <cstdio>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -20,7 +21,7 @@ constexpr char kindChar(AccessKind Kind) {
   return Kind == AccessKind::Read ? 'R' : 'W';
 }
 
-constexpr size_t BinaryRecordBytes = 6;
+constexpr size_t BinaryRecordBytes = BinaryTraceReader::RecordBytes;
 
 std::string hexString(uint64_t Value) {
   char Buffer[24];
@@ -38,6 +39,25 @@ void encodeBinaryRecord(const MemAccess &Access, unsigned char *Record) {
   Record[5] = static_cast<unsigned char>(
       (static_cast<unsigned>(Access.Kind) << 4) |
       static_cast<unsigned>(Access.Source));
+}
+
+/// Out of line, so the decoding loop builds no message string.
+[[noreturn, gnu::cold, gnu::noinline]] void reportCorruptKindSource() {
+  reportFatalError("binary trace: corrupt kind/source byte");
+}
+
+/// Decodes one binary record; a corrupt kind/source byte is fatal.
+inline MemAccess decodeBinaryRecord(const unsigned char *Record) {
+  const unsigned KindSource = Record[5];
+  if ((KindSource >> 4) >= NumAccessKinds ||
+      (KindSource & 0xF) >= NumAccessSources)
+    reportCorruptKindSource();
+  const Addr Address =
+      static_cast<Addr>(Record[0]) | (static_cast<Addr>(Record[1]) << 8) |
+      (static_cast<Addr>(Record[2]) << 16) |
+      (static_cast<Addr>(Record[3]) << 24);
+  return MemAccess{Address, Record[4], static_cast<AccessKind>(KindSource >> 4),
+                   static_cast<AccessSource>(KindSource & 0xF)};
 }
 
 } // namespace
@@ -74,7 +94,9 @@ void BinaryTraceWriter::accessBatch(const MemAccess *Batch, size_t N) {
     Drain();
 }
 
-BinaryTraceReader::BinaryTraceReader(std::istream &Stream) : IS(Stream) {
+BinaryTraceReader::BinaryTraceReader(std::istream &Stream)
+    : IS(Stream),
+      Chunk(std::make_unique_for_overwrite<unsigned char[]>(ChunkBytes)) {
   char Magic[4];
   IS.read(Magic, sizeof(Magic));
   if (!IS || Magic[0] != BinaryMagic[0] || Magic[1] != BinaryMagic[1] ||
@@ -82,26 +104,45 @@ BinaryTraceReader::BinaryTraceReader(std::istream &Stream) : IS(Stream) {
     reportFatalError("binary trace: bad or missing magic");
 }
 
+bool BinaryTraceReader::refill() {
+  const size_t Tail = End - Pos;
+  std::memmove(Chunk.get(), Chunk.get() + Pos, Tail);
+  IS.read(reinterpret_cast<char *>(Chunk.get()) + Tail,
+          static_cast<std::streamsize>(ChunkBytes - Tail));
+  Pos = 0;
+  End = Tail + static_cast<size_t>(IS.gcount());
+  if (End >= BinaryRecordBytes)
+    return true;
+  if (End != 0)
+    reportFatalError("binary trace: truncated record");
+  return false;
+}
+
 bool BinaryTraceReader::next(MemAccess &Access) {
-  unsigned char Record[6];
-  IS.read(reinterpret_cast<char *>(Record), sizeof(Record));
-  if (!IS) {
-    if (IS.gcount() != 0)
-      reportFatalError("binary trace: truncated record");
+  if (End - Pos < BinaryRecordBytes && !refill())
     return false;
-  }
-  Access.Address = static_cast<Addr>(Record[0]) |
-                   (static_cast<Addr>(Record[1]) << 8) |
-                   (static_cast<Addr>(Record[2]) << 16) |
-                   (static_cast<Addr>(Record[3]) << 24);
-  Access.Size = Record[4];
-  unsigned KindBits = Record[5] >> 4;
-  unsigned SourceBits = Record[5] & 0xF;
-  if (KindBits >= NumAccessKinds || SourceBits >= NumAccessSources)
-    reportFatalError("binary trace: corrupt kind/source byte");
-  Access.Kind = static_cast<AccessKind>(KindBits);
-  Access.Source = static_cast<AccessSource>(SourceBits);
+  Access = decodeBinaryRecord(Chunk.get() + Pos);
+  Pos += BinaryRecordBytes;
   return true;
+}
+
+uint64_t BinaryTraceReader::read(AccessBatch &Batch) {
+  RunFiller Runs(Batch);
+  uint64_t Refs = 0;
+  while (!Runs.full() && (End - Pos >= BinaryRecordBytes || refill())) {
+    // Decode the chunk's whole records until the batch fills.
+    const unsigned char *const Start = Chunk.get() + Pos;
+    const unsigned char *const Stop =
+        Start + (End - Pos) / BinaryRecordBytes * BinaryRecordBytes;
+    const unsigned char *Record = Start;
+    for (; Record != Stop && !Runs.full(); Record += BinaryRecordBytes)
+      Runs.append(decodeBinaryRecord(Record));
+    const size_t Decoded = static_cast<size_t>(Record - Start);
+    Pos += Decoded;
+    Refs += Decoded / BinaryRecordBytes;
+  }
+  Runs.finish();
+  return Refs;
 }
 
 void TextTraceWriter::access(const MemAccess &Access) {
@@ -124,6 +165,15 @@ void TextTraceWriter::accessBatch(const MemAccess *Batch, size_t N) {
       Buffer.append(Line, static_cast<size_t>(Length));
     });
   OS << Buffer;
+}
+
+uint64_t TextTraceReader::read(AccessBatch &Batch) {
+  RunFiller Runs(Batch);
+  uint64_t Refs = 0;
+  for (MemAccess Word; !Runs.full() && next(Word); ++Refs)
+    Runs.append(Word);
+  Runs.finish();
+  return Refs;
 }
 
 bool TextTraceReader::next(MemAccess &Access) {
@@ -158,5 +208,6 @@ bool TextTraceReader::next(MemAccess &Access) {
     Access.Source = AccessSource::TagEmulation;
   else
     reportFatalError("text trace: bad access source '" + SourceName + "'");
+  Access.Run = 1;
   return true;
 }

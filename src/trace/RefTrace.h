@@ -14,6 +14,12 @@
 ///  * binary: 6 bytes per record, magic-tagged, for bulk traces;
 ///  * text:   one "R|W <hexaddr> <size> <src>" line per record, for humans.
 ///
+/// Both formats hold one record per reference: the writers expand word runs
+/// into their words. Replay re-forms them: the readers' bulk read() merges
+/// consecutive words back into word-run records (RunFiller, DESIGN.md §10),
+/// so a replayed trace reaches the sinks as few records as the live bus
+/// delivered, with the same per-word stream.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef ALLOCSIM_TRACE_REFTRACE_H
@@ -23,6 +29,7 @@
 #include "mem/AccessSink.h"
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,16 +70,38 @@ private:
 };
 
 /// Reads references from a binary stream produced by BinaryTraceWriter.
+/// The stream is read one fixed chunk (under 64 KiB, held by the reader) per
+/// istream::read, never the whole trace at once. A corrupt kind/source byte
+/// is a fatal error when decoding reaches its record; a truncated final
+/// record is one after every whole record before it has been decoded.
 class BinaryTraceReader {
 public:
+  /// Bytes per record, and per chunk: the most whole records in 64 KiB.
+  static constexpr size_t RecordBytes = 6;
+  static constexpr size_t ChunkBytes = 65536 / RecordBytes * RecordBytes;
+
   /// Validates the header; a malformed header is a fatal error.
   explicit BinaryTraceReader(std::istream &IS);
 
-  /// Reads the next record into \p Access. Returns false at end of stream.
+  /// Reads the next reference into \p Access. Returns false at end of
+  /// stream.
   bool next(MemAccess &Access);
+
+  /// Fills the empty \p Batch with references until it is full or the
+  /// trace ends, merging consecutive words into word runs through
+  /// RunFiller in one decoding loop. Returns the references read (a run
+  /// counts its words); 0 at end of stream.
+  uint64_t read(AccessBatch &Batch);
 
 private:
   std::istream &IS;
+  std::unique_ptr<unsigned char[]> Chunk;
+  /// Decoding cursor and end of the bytes read into Chunk.
+  size_t Pos = 0, End = 0;
+
+  /// Moves the undecoded tail to the front of Chunk and reads the stream
+  /// behind it. Returns false at end of stream.
+  bool refill();
 };
 
 /// Writes one text line per reference (a word run is one line per word).
@@ -96,28 +125,28 @@ public:
 
   bool next(MemAccess &Access);
 
+  /// Fills the empty \p Batch through RunFiller until it is full
+  /// or the trace ends. Returns the references read; 0 at end of stream.
+  uint64_t read(AccessBatch &Batch);
+
 private:
   std::istream &IS;
 };
 
-/// Replays all records from \p Reader into \p Sink in batches of
-/// AccessBatch::MaxCapacity. Returns the number of records replayed.
+/// Replays every reference from \p Reader into \p Sink, one accessBatch per
+/// filled AccessBatch of re-formed word runs. Returns the number of
+/// *references* replayed (what BinaryTraceWriter::written() counted), not of
+/// records delivered.
 template <typename ReaderT>
 uint64_t replayTrace(ReaderT &Reader, AccessSink &Sink) {
   AccessBatch Batch;
-  uint64_t N = 0;
-  MemAccess Access;
-  while (Reader.next(Access)) {
-    Batch.push(Access);
-    ++N;
-    if (Batch.size() == AccessBatch::MaxCapacity) {
-      Sink.accessBatch(Batch.data(), Batch.size());
-      Batch.clear();
-    }
-  }
-  if (!Batch.empty())
+  uint64_t Refs = 0;
+  while (const uint64_t N = Reader.read(Batch)) {
+    Refs += N;
     Sink.accessBatch(Batch.data(), Batch.size());
-  return N;
+    Batch.clear();
+  }
+  return Refs;
 }
 
 } // namespace allocsim

@@ -287,6 +287,100 @@ TEST(PipelineEquivalenceTest, TextTraceBytesIdentical) {
   EXPECT_EQ(Scalar, Batched);
 }
 
+TEST(PipelineEquivalenceTest, ReplayedRunsMatchWordByWordDelivery) {
+  // replayTrace's reader re-forms the captured words into word runs. Every
+  // run-aware sink (StackSim, a lone direct-mapped cache, the nested sweep,
+  // and PageSim), the set-associative cache and the victim cache must end
+  // with the statistics that word-by-word delivery (next() + access())
+  // gives them.
+  std::ostringstream Out(std::ios::binary);
+  uint64_t Written = 0;
+  {
+    BinaryTraceWriter Writer(Out);
+    MemoryBus Bus;
+    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
+    Bus.attach(&Writer);
+    SimHeap Heap(Bus);
+    CostModel Cost;
+    std::unique_ptr<Allocator> Alloc =
+        createAllocator(AllocatorKind::Bsd, Heap, Cost);
+    const AppProfile &Profile = getProfile(WorkloadId::Gawk);
+    EngineOptions Options;
+    Options.Scale = 512;
+    WorkloadEngine Engine(Profile, Options);
+    Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
+    Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
+    Bus.flush();
+    Written = Writer.written();
+  }
+  const std::string Trace = Out.str();
+  ASSERT_GT(Written, 100000u);
+
+  const CacheConfig Single{16 * 1024, 32, 1};
+  struct Sinks {
+    StackSim Stack{stackCacheSweep()};
+    CacheBank Lone, Nested, Assoc;
+    VictimCache Victim{CacheConfig{16 * 1024, 32, 1}, 4};
+    PageSim Pages;
+  };
+  auto Build = [&](Sinks &S) {
+    S.Lone.addCache(Single);
+    for (const CacheConfig &Config : paperCacheSweep())
+      S.Nested.addCache(Config);
+    S.Assoc.addCache(CacheConfig{16 * 1024, 32, 4});
+  };
+  Sinks Words, Runs;
+  Build(Words);
+  Build(Runs);
+  ASSERT_TRUE(Runs.Nested.usesNestedSweep());
+  {
+    std::istringstream In(Trace);
+    BinaryTraceReader Reader(In);
+    MemAccess Word;
+    uint64_t N = 0;
+    while (Reader.next(Word)) {
+      for (AccessSink *Sink :
+           std::initializer_list<AccessSink *>{&Words.Stack, &Words.Lone,
+                                               &Words.Nested, &Words.Assoc,
+                                               &Words.Victim, &Words.Pages})
+        Sink->access(Word);
+      ++N;
+    }
+    EXPECT_EQ(N, Written);
+  }
+  for (AccessSink *Sink : std::initializer_list<AccessSink *>{
+           &Runs.Stack, &Runs.Lone, &Runs.Nested, &Runs.Assoc, &Runs.Victim,
+           &Runs.Pages}) {
+    std::istringstream In(Trace);
+    BinaryTraceReader Reader(In);
+    EXPECT_EQ(replayTrace(Reader, *Sink), Written);
+  }
+
+  auto ExpectSame = [](const CacheStats &A, const CacheStats &B,
+                       const std::string &Label) {
+    EXPECT_EQ(A.Accesses, B.Accesses) << Label;
+    EXPECT_EQ(A.Misses, B.Misses) << Label;
+    EXPECT_EQ(A.AccessesBySource, B.AccessesBySource) << Label;
+    EXPECT_EQ(A.MissesBySource, B.MissesBySource) << Label;
+  };
+  for (size_t I = 0; I != Words.Stack.size(); ++I)
+    ExpectSame(Words.Stack.statsFor(I), Runs.Stack.statsFor(I),
+               "stack " + std::to_string(I));
+  ExpectSame(Words.Lone.cache(0).stats(), Runs.Lone.cache(0).stats(), "lone");
+  for (size_t I = 0; I != Words.Nested.size(); ++I)
+    ExpectSame(Words.Nested.cache(I).stats(), Runs.Nested.cache(I).stats(),
+               "nested " + std::to_string(I));
+  ExpectSame(Words.Assoc.cache(0).stats(), Runs.Assoc.cache(0).stats(),
+             "4-way");
+  ExpectSame(Words.Victim.stats(), Runs.Victim.stats(), "victim");
+  EXPECT_EQ(Words.Victim.victimHits(), Runs.Victim.victimHits());
+  EXPECT_EQ(Words.Pages.references(), Runs.Pages.references());
+  EXPECT_EQ(Words.Pages.distinctPages(), Runs.Pages.distinctPages());
+  EXPECT_EQ(Words.Pages.zeroDistanceHits(), Runs.Pages.zeroDistanceHits());
+  for (uint64_t Pages : {1u, 4u, 16u, 64u, 256u})
+    EXPECT_EQ(Words.Pages.faults(Pages), Runs.Pages.faults(Pages)) << Pages;
+}
+
 TEST(PipelineEquivalenceTest, RunsOfExactly127And128Words) {
   // 127 words fill one record; 128 take a full record and a one-word one.
   // Counters, record counts and the delivered words match the word bus.

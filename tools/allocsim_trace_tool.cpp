@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cache/CacheSim.h"
+#include "mem/MemoryBus.h"
 #include "support/Error.h"
 #include "support/Table.h"
 #include "trace/RefTrace.h"
@@ -19,7 +20,7 @@
 
 #include <fstream>
 #include <iostream>
-#include <map>
+#include <set>
 
 using namespace allocsim;
 
@@ -39,39 +40,45 @@ std::ifstream openBinary(const std::string &Path) {
   return File;
 }
 
-int runStats(const std::string &Path) {
-  std::ifstream File = openBinary(Path);
-  BinaryTraceReader Reader(File);
-
-  uint64_t Total = 0, Reads = 0;
+/// Per-reference tallies for `stats`; runs reach access() word by word
+/// through the default accessBatch.
+class StatsSink final : public AccessSink {
+public:
+  uint64_t Reads = 0;
   uint64_t BySource[NumAccessSources] = {};
   Addr Low = ~Addr(0), High = 0;
-  std::map<uint64_t, uint64_t> PageCounts;
-  MemAccess Access;
-  while (Reader.next(Access)) {
-    ++Total;
+  std::set<Addr> Pages;
+
+  void access(const MemAccess &Access) override {
     Reads += Access.Kind == AccessKind::Read;
     ++BySource[unsigned(Access.Source)];
     Low = std::min(Low, Access.Address);
     High = std::max(High, Access.Address);
-    ++PageCounts[Access.Address >> 12];
+    Pages.insert(Access.Address >> 12);
   }
+};
+
+int runStats(const std::string &Path) {
+  std::ifstream File = openBinary(Path);
+  BinaryTraceReader Reader(File);
+  StatsSink Stats;
+  const uint64_t Total = replayTrace(Reader, Stats);
   if (Total == 0) {
     std::cout << "empty trace\n";
     return 0;
   }
   std::cout << "records:        " << Total << "\n"
-            << "reads/writes:   " << Reads << " / " << (Total - Reads)
-            << "\n"
+            << "reads/writes:   " << Stats.Reads << " / "
+            << (Total - Stats.Reads) << "\n"
             << "app refs:       "
-            << BySource[unsigned(AccessSource::Application)] << "\n"
+            << Stats.BySource[unsigned(AccessSource::Application)] << "\n"
             << "allocator refs: "
-            << BySource[unsigned(AccessSource::Allocator)] << "\n"
+            << Stats.BySource[unsigned(AccessSource::Allocator)] << "\n"
             << "tag refs:       "
-            << BySource[unsigned(AccessSource::TagEmulation)] << "\n"
-            << "address range:  " << std::hex << Low << "..." << High
-            << std::dec << "\n"
-            << "distinct pages: " << PageCounts.size() << " (4 KB)\n";
+            << Stats.BySource[unsigned(AccessSource::TagEmulation)] << "\n"
+            << "address range:  " << std::hex << Stats.Low << "..."
+            << Stats.High << std::dec << "\n"
+            << "distinct pages: " << Stats.Pages.size() << " (4 KB)\n";
   return 0;
 }
 
@@ -105,14 +112,12 @@ int runSim(const std::string &Path, const std::vector<uint32_t> &SizesKb) {
   for (uint32_t SizeKb : SizesKb)
     Bank.addCache(CacheConfig{SizeKb * 1024, 32, 1});
   PageSim Paging;
-
-  MemAccess Access;
-  uint64_t Total = 0;
-  while (Reader.next(Access)) {
-    Bank.access(Access);
-    Paging.access(Access);
-    ++Total;
-  }
+  MemoryBus Bus;
+  Bus.setBatchCapacity(AccessBatch::MaxCapacity);
+  Bus.attach(&Bank);
+  Bus.attach(&Paging);
+  const uint64_t Total = replayTrace(Reader, Bus);
+  Bus.flush();
 
   std::cout << "replayed " << Total << " references\n\n";
   Table Caches({"cache", "miss rate %"});

@@ -25,8 +25,8 @@ than the tolerance (default 30%). A baseline config may additionally carry
 a "min_speedup" key: an absolute floor the current speedup must meet
 regardless of tolerance (this is how the >= 5x stack-engine claim on the
 multi-config sweeps, the nested direct-mapped sweep's gain on the
-pipeline's multicache row and word-run emission on its driver-only bare
-row are pinned).
+pipeline's multicache row, word-run emission on its driver-only bare row
+and bulk, run-forming trace reading on its replay row are pinned).
 
 Exit status: 0 = pass; 1 = regression, or a malformed/missing *current*
 report (the thing being tested); 2 = bad usage, or a malformed/missing
