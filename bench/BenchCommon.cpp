@@ -45,6 +45,31 @@ allocsim::parseBenchOptions(int Argc, const char *const *Argv,
   return Options;
 }
 
+bool allocsim::readWorkloadFlag(const CommandLine &Cli,
+                                WorkloadId &Workload) {
+  if (tryParseWorkload(Cli.getString("workload"), Workload))
+    return true;
+  Cli.reportError("unknown workload '" + Cli.getString("workload") + "'");
+  return false;
+}
+
+bool allocsim::readCacheKbFlag(const CommandLine &Cli, uint32_t &CacheKb,
+                               std::vector<CacheConfig> &Geometries) {
+  if (!readUnsignedFlag(Cli, "cache-kb", CacheKb, 1u))
+    return false;
+  for (CacheConfig &Geometry : Geometries) {
+    Geometry.SizeBytes = CacheKb * 1024;
+    if (CacheKb > UINT32_MAX / 1024 || !Geometry.valid()) {
+      Cli.reportError("bad --cache-kb '" + Cli.getString("cache-kb") +
+                      "' (no valid " + std::to_string(Geometry.Assoc) +
+                      "-way cache of that many KB with " +
+                      std::to_string(Geometry.BlockBytes) + "B blocks)");
+      return false;
+    }
+  }
+  return true;
+}
+
 void allocsim::printBanner(const std::string &Title,
                            const BenchOptions &Options) {
   std::cout << "=== " << Title << " ===\n"

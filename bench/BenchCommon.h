@@ -61,6 +61,16 @@ struct BenchOptions {
 std::optional<BenchOptions> parseBenchOptions(int Argc, const char *const *Argv,
                                               CommandLine &Cli);
 
+/// Reads --workload through tryParseWorkload; an unknown name is reported
+/// through Cli.reportError and refused.
+bool readWorkloadFlag(const CommandLine &Cli, WorkloadId &Workload);
+
+/// Reads --cache-kb as the capacity of every geometry in \p Geometries,
+/// refusing (through Cli.reportError) a count that makes any of them
+/// invalid or does not fit 32 bits as a byte size.
+bool readCacheKbFlag(const CommandLine &Cli, uint32_t &CacheKb,
+                     std::vector<CacheConfig> &Geometries);
+
 /// Prints a title banner and the scale note.
 void printBanner(const std::string &Title, const BenchOptions &Options);
 

@@ -43,12 +43,10 @@
 #include "cache/StackSim.h"
 #include "mem/AccessBatch.h"
 #include "support/Error.h"
-#include "workload/Driver.h"
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 using namespace allocsim;
@@ -86,23 +84,10 @@ struct Measurement {
 /// Captures the gs-small/FirstFit reference stream once; both engines
 /// replay exactly these records.
 std::vector<MemAccess> captureStream(const BenchOptions &Options) {
-  MemoryBus Bus;
-  Bus.setBatchCapacity(AccessBatch::MaxCapacity);
+  ExperimentConfig Config = baseConfig(WorkloadId::GsSmall, Options);
+  Config.Allocator = AllocatorKind::FirstFit;
   StreamRecorder Recorder;
-  Bus.attach(&Recorder);
-
-  SimHeap Heap(Bus);
-  CostModel Cost;
-  std::unique_ptr<Allocator> Alloc =
-      createAllocator(AllocatorKind::FirstFit, Heap, Cost);
-  const AppProfile &Profile = getProfile(WorkloadId::GsSmall);
-  EngineOptions EngineOpts;
-  EngineOpts.Scale = Options.Scale;
-  EngineOpts.Seed = Options.Seed;
-  WorkloadEngine Engine(Profile, EngineOpts);
-  Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
-  Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
-  Bus.flush();
+  runExperiment(Config, nullptr, {&Recorder});
   return std::move(Recorder.Stream);
 }
 
@@ -216,15 +201,13 @@ void writeJson(std::ostream &OS, const std::vector<Measurement> &Rows,
 int main(int Argc, char **Argv) {
   CommandLine Cli;
   Cli.addFlag("quick", "false",
-              "CI mode: fewer repetitions at a smaller scale");
+              "CI mode: fewer repetitions");
   Cli.addFlag("out", "",
               "write the JSON report here ('-' or empty = stdout only)");
   std::optional<BenchOptions> Options = parseBenchOptions(Argc, Argv, Cli);
   if (!Options)
     return 1;
   bool Quick = Cli.getBool("quick");
-  if (Quick && Options->Scale == 8)
-    Options->Scale = 16; // smaller run, same machinery
   unsigned Reps = Quick ? 2 : 4;
 
   printBanner("cache-engine throughput: per-config vs one-pass "

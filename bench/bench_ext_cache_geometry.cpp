@@ -22,20 +22,20 @@ int main(int Argc, char **Argv) {
   Cli.addFlag("workload", "espresso", "application profile to run");
   Cli.addFlag("cache-kb", "64", "cache size in KB");
   std::optional<BenchOptions> Options = parseBenchOptions(Argc, Argv, Cli);
-  if (!Options)
+  WorkloadId Workload = WorkloadId::Espresso;
+  uint32_t CacheKb = 0;
+  std::vector<CacheConfig> Configs;
+  for (uint32_t BlockBytes : {16u, 32u, 64u, 128u})
+    Configs.push_back(CacheConfig{0, BlockBytes, 1});
+  for (uint32_t Assoc : {2u, 4u, 8u})
+    Configs.push_back(CacheConfig{0, 32, Assoc});
+  if (!Options || !readWorkloadFlag(Cli, Workload) ||
+      !readCacheKbFlag(Cli, CacheKb, Configs))
     return 1;
-  WorkloadId Workload = parseWorkload(Cli.getString("workload"));
-  auto CacheKb = static_cast<uint32_t>(Cli.getInt("cache-kb"));
   printBanner("Extension: cache geometry sweep on " +
                   std::string(workloadName(Workload)) + ", " +
                   std::to_string(CacheKb) + "K cache",
               *Options);
-
-  std::vector<CacheConfig> Configs;
-  for (uint32_t BlockBytes : {16u, 32u, 64u, 128u})
-    Configs.push_back(CacheConfig{CacheKb * 1024, BlockBytes, 1});
-  for (uint32_t Assoc : {2u, 4u, 8u})
-    Configs.push_back(CacheConfig{CacheKb * 1024, 32, Assoc});
 
   MatrixSpec Spec = benchMatrixSpec({Workload}, *Options);
   Spec.Caches = Configs;

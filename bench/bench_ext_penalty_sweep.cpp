@@ -21,9 +21,9 @@ int main(int Argc, char **Argv) {
   CommandLine Cli;
   Cli.addFlag("workload", "gs", "application profile to run");
   std::optional<BenchOptions> Options = parseBenchOptions(Argc, Argv, Cli);
-  if (!Options)
+  WorkloadId Workload = WorkloadId::Gs;
+  if (!Options || !readWorkloadFlag(Cli, Workload))
     return 1;
-  WorkloadId Workload = parseWorkload(Cli.getString("workload"));
   printBanner("Extension: estimated seconds vs miss penalty on " +
                   std::string(workloadName(Workload)) + ", 64K cache",
               *Options);

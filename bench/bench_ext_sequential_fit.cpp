@@ -24,9 +24,9 @@ int main(int Argc, char **Argv) {
   CommandLine Cli;
   Cli.addFlag("workload", "gs", "application profile to run");
   std::optional<BenchOptions> Options = parseBenchOptions(Argc, Argv, Cli);
-  if (!Options)
+  WorkloadId Workload = WorkloadId::Gs;
+  if (!Options || !readWorkloadFlag(Cli, Workload))
     return 1;
-  WorkloadId Workload = parseWorkload(Cli.getString("workload"));
   printBanner("Extension: the sequential-fit family on " +
                   std::string(workloadName(Workload)) + ", 16K/64K caches",
               *Options);

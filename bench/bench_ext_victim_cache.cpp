@@ -15,8 +15,6 @@
 
 #include "BenchCommon.h"
 
-#include "workload/Driver.h"
-
 using namespace allocsim;
 
 int main(int Argc, char **Argv) {
@@ -24,10 +22,12 @@ int main(int Argc, char **Argv) {
   Cli.addFlag("workload", "espresso", "application profile to run");
   Cli.addFlag("cache-kb", "16", "main-array size in KB");
   std::optional<BenchOptions> Options = parseBenchOptions(Argc, Argv, Cli);
-  if (!Options)
+  WorkloadId Workload = WorkloadId::Espresso;
+  uint32_t CacheKb = 0;
+  std::vector<CacheConfig> Geometry = {{0, 32, 1}};
+  if (!Options || !readWorkloadFlag(Cli, Workload) ||
+      !readCacheKbFlag(Cli, CacheKb, Geometry))
     return 1;
-  WorkloadId Workload = parseWorkload(Cli.getString("workload"));
-  auto CacheKb = static_cast<uint32_t>(Cli.getInt("cache-kb"));
   printBanner("Extension: victim buffers (Jouppi) on " +
                   std::string(workloadName(Workload)) + ", " +
                   std::to_string(CacheKb) + "K direct-mapped main array",
@@ -39,28 +39,16 @@ int main(int Argc, char **Argv) {
 
   for (AllocatorKind Kind : PaperAllocators) {
     // One execution observed by the plain cache and all buffer variants.
-    MemoryBus Bus;
-    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
-    CacheConfig MainArray{CacheKb * 1024, 32, 1};
-    DirectMappedCache Plain(MainArray);
-    Bus.attach(&Plain);
+    DirectMappedCache Plain(Geometry[0]);
     std::vector<std::unique_ptr<VictimCache>> Buffered;
+    std::vector<AccessSink *> Observers = {&Plain};
     for (uint32_t Entries : BufferSizes) {
-      Buffered.push_back(std::make_unique<VictimCache>(MainArray, Entries));
-      Bus.attach(Buffered.back().get());
+      Buffered.push_back(std::make_unique<VictimCache>(Geometry[0], Entries));
+      Observers.push_back(Buffered.back().get());
     }
-
-    SimHeap Heap(Bus);
-    CostModel Cost;
-    std::unique_ptr<Allocator> Alloc = createAllocator(Kind, Heap, Cost);
-    const AppProfile &Profile = getProfile(Workload);
-    EngineOptions EngineOpts;
-    EngineOpts.Scale = Options->Scale;
-    EngineOpts.Seed = Options->Seed;
-    WorkloadEngine Engine(Profile, EngineOpts);
-    Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
-    Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
-    Bus.flush();
+    ExperimentConfig Config = baseConfig(Workload, *Options);
+    Config.Allocator = Kind;
+    runExperiment(Config, nullptr, Observers);
 
     Out.beginRow();
     Out.cell(allocatorKindName(Kind));

@@ -37,13 +37,11 @@
 
 #include "support/Error.h"
 #include "trace/RefTrace.h"
-#include "vm/PageSim.h"
-#include "workload/Driver.h"
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <streambuf>
@@ -75,9 +73,8 @@ public:
 /// One sink configuration under test.
 struct PipelineConfig {
   std::string Name;
-  bool MultiCache = false;
-  bool SingleCache = false;
-  bool Paging = false;
+  std::vector<CacheConfig> Caches;
+  std::vector<uint32_t> PagingMemoryKb;
   bool Trace = false;
 };
 
@@ -92,59 +89,34 @@ struct Measurement {
   }
 };
 
-/// Runs the full pipeline once and returns (refs, seconds). The timed
-/// region covers everything an experiment's hot loop does: event
-/// synthesis, allocator execution, reference emission, and sink delivery.
-/// A trace configuration writes to \p TraceOut when given, else discards.
+/// Runs the full pipeline once through runExperiment and returns (refs,
+/// seconds). The timed region is the whole call: everything an experiment's
+/// hot loop does (event synthesis, allocator execution, reference emission,
+/// sink delivery) plus the rig's set-up and harvest, which are small next to
+/// it. A trace configuration writes to \p TraceOut when given, else
+/// discards.
 std::pair<uint64_t, double> runOnce(const PipelineConfig &Config,
                                     bool Batched,
                                     const BenchOptions &Options,
                                     std::ostream *TraceOut = nullptr) {
-  MemoryBus Bus;
-  if (Batched)
-    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
-
-  CacheBank Caches;
-  if (Config.MultiCache)
-    for (const CacheConfig &CacheConf : paperCacheSweep())
-      Caches.addCache(CacheConf);
-  if (Config.SingleCache)
-    Caches.addCache(CacheConfig{16 * 1024, 32, 1});
-  if (!Caches.empty())
-    Bus.attach(&Caches);
-
-  std::unique_ptr<PageSim> Paging;
-  if (Config.Paging) {
-    Paging = std::make_unique<PageSim>(4096);
-    Bus.attach(Paging.get());
-  }
+  ExperimentConfig Experiment = baseConfig(WorkloadId::GsSmall, Options);
+  Experiment.Allocator = AllocatorKind::FirstFit;
+  Experiment.BatchedDelivery = Batched;
+  Experiment.Caches = Config.Caches;
+  Experiment.PagingMemoryKb = Config.PagingMemoryKb;
 
   NullStreamBuf NullBuf;
   std::ostream NullStream(&NullBuf);
-  std::unique_ptr<BinaryTraceWriter> Writer;
-  if (Config.Trace) {
-    Writer = std::make_unique<BinaryTraceWriter>(TraceOut ? *TraceOut
-                                                          : NullStream);
-    Bus.attach(Writer.get());
-  }
-
-  SimHeap Heap(Bus);
-  CostModel Cost;
-  std::unique_ptr<Allocator> Alloc =
-      createAllocator(AllocatorKind::FirstFit, Heap, Cost);
-  const AppProfile &Profile = getProfile(WorkloadId::GsSmall);
-  EngineOptions EngineOpts;
-  EngineOpts.Scale = Options.Scale;
-  EngineOpts.Seed = Options.Seed;
-  WorkloadEngine Engine(Profile, EngineOpts);
-  Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
+  std::optional<BinaryTraceWriter> Writer;
+  std::vector<AccessSink *> Observers;
+  if (Config.Trace)
+    Observers.push_back(&Writer.emplace(TraceOut ? *TraceOut : NullStream));
 
   auto Start = std::chrono::steady_clock::now();
-  Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
-  Bus.flush();
+  RunResult Result = runExperiment(Experiment, nullptr, Observers);
   auto End = std::chrono::steady_clock::now();
   double Seconds = std::chrono::duration<double>(End - Start).count();
-  return {Bus.totalAccesses(), Seconds};
+  return {Result.TotalRefs, Seconds};
 }
 
 /// Replays \p Trace into the Figure 6-8 sweep once and returns (refs,
@@ -225,15 +197,13 @@ void writeJson(std::ostream &OS, const std::vector<Measurement> &Rows,
 int main(int Argc, char **Argv) {
   CommandLine Cli;
   Cli.addFlag("quick", "false",
-              "CI mode: fewer repetitions at a smaller scale");
+              "CI mode: more repetitions for a steadier best-of-N");
   Cli.addFlag("out", "",
               "write the JSON report here ('-' or empty = stdout only)");
   std::optional<BenchOptions> Options = parseBenchOptions(Argc, Argv, Cli);
   if (!Options)
     return 1;
   bool Quick = Cli.getBool("quick");
-  if (Quick && Options->Scale == 8)
-    Options->Scale = 16; // smaller run, same machinery
   // The CI gate judges a single quick run, so quick runs take more
   // repetitions for a steadier best-of-N.
   unsigned Reps = Quick ? 6 : 4;
@@ -242,12 +212,13 @@ int main(int Argc, char **Argv) {
               "(gs-small, FirstFit)",
               *Options);
 
+  // A paging point attaches the pager; which point is immaterial here.
   const PipelineConfig Configs[] = {
-      {"multicache", /*MultiCache=*/true, false, false, false},
-      {"cache+paging", false, /*SingleCache=*/true, /*Paging=*/true, false},
-      {"paging", false, false, /*Paging=*/true, false},
-      {"trace", false, false, false, /*Trace=*/true},
-      {"bare", false, false, false, false},
+      {"multicache", paperCacheSweep(), {}},
+      {"cache+paging", {CacheConfig{16 * 1024, 32, 1}}, {1024}},
+      {"paging", {}, {1024}},
+      {"trace", {}, {}, /*Trace=*/true},
+      {"bare", {}, {}},
   };
 
   std::vector<Measurement> Rows;
@@ -257,8 +228,8 @@ int main(int Argc, char **Argv) {
     }));
 
   std::ostringstream Capture(std::ios::binary);
-  runOnce({"capture", false, false, false, /*Trace=*/true}, /*Batched=*/true,
-          *Options, &Capture);
+  runOnce({"capture", {}, {}, /*Trace=*/true}, /*Batched=*/true, *Options,
+          &Capture);
   const std::string Trace = std::move(Capture).str();
   Rows.push_back(measure("replay", Reps, [&](bool Batched) {
     return replayOnce(Trace, Batched);

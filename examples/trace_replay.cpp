@@ -19,7 +19,6 @@
 #include "support/CommandLine.h"
 #include "support/Table.h"
 #include "trace/RefTrace.h"
-#include "workload/Driver.h"
 
 #include <fstream>
 #include <iostream>
@@ -36,8 +35,11 @@ int main(int Argc, char **Argv) {
     return 1;
 
   const std::string TracePath = Cli.getString("trace");
-  const AppProfile &Profile =
-      getProfile(parseWorkload(Cli.getString("workload")));
+  ExperimentConfig Config;
+  Config.Workload = parseWorkload(Cli.getString("workload"));
+  Config.Allocator = parseAllocatorKind(Cli.getString("allocator"));
+  if (!readUnsignedFlag(Cli, "scale", Config.Engine.Scale, 1u))
+    return 1;
 
   // --- capture ------------------------------------------------------------
   {
@@ -46,32 +48,21 @@ int main(int Argc, char **Argv) {
       std::cerr << "error: cannot write " << TracePath << "\n";
       return 1;
     }
+    // The trace writer observes the run's reference stream, as the caches
+    // of any other experiment would.
     BinaryTraceWriter Writer(TraceFile);
-
-    MemoryBus Bus;
-    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
-    Bus.attach(&Writer);
-    SimHeap Heap(Bus);
-    CostModel Cost;
-    std::unique_ptr<Allocator> Alloc = createAllocator(
-        parseAllocatorKind(Cli.getString("allocator")), Heap, Cost);
-
-    EngineOptions Options;
-    Options.Scale = static_cast<uint32_t>(Cli.getInt("scale"));
-    WorkloadEngine Engine(Profile, Options);
-    Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
-    Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
-    Bus.flush();
+    runExperiment(Config, nullptr, {&Writer});
 
     std::cout << "captured " << Writer.written() << " references from "
-              << Profile.Name << " under " << Alloc->name() << " to "
-              << TracePath << "\n\n";
+              << getProfile(Config.Workload).Name << " under "
+              << allocatorKindName(Config.Allocator) << " to " << TracePath
+              << "\n\n";
   }
 
   // --- replay -------------------------------------------------------------
   CacheBank Bank;
-  for (const CacheConfig &Config : paperCacheSweep())
-    Bank.addCache(Config);
+  for (const CacheConfig &Cache : paperCacheSweep())
+    Bank.addCache(Cache);
 
   std::ifstream TraceFile(TracePath, std::ios::binary);
   BinaryTraceReader Reader(TraceFile);

@@ -82,6 +82,7 @@ struct AllocatorStats {
   /// Counted within MallocCalls; BytesRequested includes the failed
   /// request, the live counters do not.
   uint64_t FailedMallocs = 0;
+  bool operator==(const AllocatorStats &Other) const = default;
 };
 
 /// Abstract allocator over a simulated heap.

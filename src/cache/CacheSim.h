@@ -95,6 +95,7 @@ struct CacheStats {
   uint64_t missesFrom(AccessSource Source) const {
     return MissesBySource[static_cast<unsigned>(Source)];
   }
+  bool operator==(const CacheStats &Other) const = default;
 };
 
 /// Common interface: a cache is an AccessSink with stats.

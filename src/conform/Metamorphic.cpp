@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 using namespace allocsim;
 
@@ -69,26 +70,23 @@ std::string cellName(const ResultStore &Store, size_t W, size_t A, size_t P) {
 
 /// conform-meta-jobs: serial and parallel runs of the same spec are
 /// bit-identical, both in the golden serialization and in the merged
-/// telemetry fold.
-size_t checkJobsInvariance(const MatrixSpec &Spec,
-                           const MetamorphicOptions &Options,
-                           DiagEngine &Diags) {
-  MatrixOptions Serial;
-  Serial.Jobs = 1;
-  MatrixOptions Parallel;
-  Parallel.Jobs = Options.Jobs > 1 ? Options.Jobs : 8;
+/// telemetry fold. \p Whole, run at \p WholeJobs workers, is one side; the
+/// other side runs serially when Whole ran in parallel, and at 8 workers
+/// when Whole ran serially.
+size_t checkJobsInvariance(const MatrixSpec &Spec, const ResultStore &Whole,
+                           unsigned WholeJobs, DiagEngine &Diags) {
+  MatrixOptions Other;
+  Other.Jobs = WholeJobs > 1 ? 1 : 8;
+  ResultStore OtherStore = runMatrix(Spec, Other);
+  const std::string Legs = "--jobs=1 and --jobs=" +
+                           std::to_string(std::max(WholeJobs, Other.Jobs));
 
-  ResultStore SerialStore = runMatrix(Spec, Serial);
-  ResultStore ParallelStore = runMatrix(Spec, Parallel);
-
-  if (goldenOf(SerialStore) != goldenOf(ParallelStore))
+  if (goldenOf(Whole) != goldenOf(OtherStore))
     Diags.error("conform-meta-jobs", {},
-                "golden serialization differs between --jobs=1 and --jobs=" +
-                    std::to_string(Parallel.Jobs));
-  if (!(SerialStore.mergedTelemetry() == ParallelStore.mergedTelemetry()))
+                "golden serialization differs between " + Legs);
+  if (!(Whole.mergedTelemetry() == OtherStore.mergedTelemetry()))
     Diags.error("conform-meta-jobs", {},
-                "merged telemetry differs between --jobs=1 and --jobs=" +
-                    std::to_string(Parallel.Jobs));
+                "merged telemetry differs between " + Legs);
   return 2;
 }
 
@@ -163,22 +161,26 @@ size_t checkPermutation(const MatrixSpec &Spec, const ResultStore &Whole,
   return Checked;
 }
 
-/// conform-meta-assoc: with the set count held fixed, doubling
-/// associativity (so capacity doubles too) can never increase LRU misses —
-/// the stack inclusion property — for the given \p Caches chain, ordered
-/// narrowest first.
-size_t checkAssocInclusionFamily(const std::vector<CacheConfig> &Caches,
-                                 const MetamorphicOptions &Options,
-                                 const MatrixOptions &RunOptions,
-                                 DiagEngine &Diags) {
+/// The matrix of one conform-meta-assoc chain: both base workloads, every
+/// allocator, \p Caches as the sweep, telemetry off.
+MatrixSpec chainSpec(const std::vector<CacheConfig> &Caches,
+                     const MetamorphicOptions &Options) {
   MatrixSpec Spec;
   Spec.Workloads = {WorkloadId::Espresso, WorkloadId::Make};
   Spec.Allocators = metamorphicAllocators();
   Spec.Caches = Caches;
   Spec.Base.Engine.Scale = Options.Scale;
   Spec.Base.Engine.Seed = Options.Seed;
+  return Spec;
+}
 
-  ResultStore Store = runMatrix(Spec, RunOptions);
+/// conform-meta-assoc: with the set count held fixed, doubling
+/// associativity (so capacity doubles too) can never increase LRU misses —
+/// the stack inclusion property — for the cache chain of \p Store's spec,
+/// ordered narrowest first.
+size_t checkAssocInclusionFamily(const ResultStore &Store,
+                                 DiagEngine &Diags) {
+  const MatrixSpec &Spec = Store.spec();
   size_t Checked = 0;
   for (size_t W = 0; W != Spec.Workloads.size(); ++W) {
     for (size_t A = 0; A != Spec.Allocators.size(); ++A) {
@@ -207,41 +209,19 @@ size_t checkAssocInclusionFamily(const std::vector<CacheConfig> &Caches,
   return Checked;
 }
 
-/// The two conform-meta-assoc chains: 16K direct-mapped, 32K 2-way and 64K
-/// 4-way with 32-byte blocks all have 512 sets; the fully-associative chain
-/// (one set each, Assoc == numBlocks) is the pure stack property.
-size_t checkAssocInclusion(const MetamorphicOptions &Options,
-                           const MatrixOptions &RunOptions,
-                           DiagEngine &Diags) {
-  size_t Checked = 0;
-  Checked += checkAssocInclusionFamily(
-      {{16 * 1024, 32, 1}, {32 * 1024, 32, 2}, {64 * 1024, 32, 4}}, Options,
-      RunOptions, Diags);
-  Checked += checkAssocInclusionFamily({{512, 32, 16}, {1024, 32, 32}},
-                                       Options, RunOptions, Diags);
-  return Checked;
-}
-
 /// conform-meta-engine: switching the cache sweep engine from per-config
 /// simulation to the one-pass stack-distance engine on a stack-legal family
 /// changes no measurement — every cell fingerprint (instruction splits,
-/// reference volumes, per-cache miss counts) is bit-identical. Telemetry is
-/// off here: the stack engine adds its own probes (cache.stackdist.*), so
-/// the snapshots legitimately differ while the measurements must not.
-size_t checkEngineEquivalence(const MetamorphicOptions &Options,
+/// reference volumes, per-cache miss counts) is bit-identical. \p PerStore
+/// is the per-config side; its spec is rerun on the stack engine. Telemetry
+/// is off here: the stack engine adds its own probes (cache.stackdist.*),
+/// so the snapshots legitimately differ while the measurements must not.
+size_t checkEngineEquivalence(const ResultStore &PerStore,
                               const MatrixOptions &RunOptions,
                               DiagEngine &Diags) {
-  MatrixSpec PerCfg;
-  PerCfg.Workloads = {WorkloadId::Espresso, WorkloadId::Make};
-  PerCfg.Allocators = metamorphicAllocators();
-  PerCfg.Caches = {{16 * 1024, 32, 1}, {32 * 1024, 32, 2}, {64 * 1024, 32, 4}};
-  PerCfg.Base.Engine.Scale = Options.Scale;
-  PerCfg.Base.Engine.Seed = Options.Seed;
-  PerCfg.Base.CacheEngine = CacheEngineKind::PerConfig;
+  const MatrixSpec &PerCfg = PerStore.spec();
   MatrixSpec Stack = PerCfg;
   Stack.Base.CacheEngine = CacheEngineKind::StackDist;
-
-  ResultStore PerStore = runMatrix(PerCfg, RunOptions);
   ResultStore StackStore = runMatrix(Stack, RunOptions);
 
   size_t Checked = 0;
@@ -359,13 +339,30 @@ size_t allocsim::runMetamorphicSuite(const MetamorphicOptions &Options,
 
   MatrixSpec Spec = baseSpec(Options);
   ResultStore Whole = runMatrix(Spec, RunOptions);
+  const unsigned WholeJobs = Options.Jobs != 0
+                                 ? Options.Jobs
+                                 : std::thread::hardware_concurrency();
+
+  // The two conform-meta-assoc chains: 16K direct-mapped, 32K 2-way and 64K
+  // 4-way with 32-byte blocks all have 512 sets, so the first is also the
+  // stack-legal family conform-meta-engine runs on both engines; the
+  // fully-associative chain (one set each, Assoc == numBlocks) is the pure
+  // stack property.
+  ResultStore SetChain = runMatrix(
+      chainSpec({{16 * 1024, 32, 1}, {32 * 1024, 32, 2}, {64 * 1024, 32, 4}},
+                Options),
+      RunOptions);
+  ResultStore FullChain =
+      runMatrix(chainSpec({{512, 32, 16}, {1024, 32, 32}}, Options),
+                RunOptions);
 
   size_t Checked = 0;
-  Checked += checkJobsInvariance(Spec, Options, Diags);
+  Checked += checkJobsInvariance(Spec, Whole, WholeJobs, Diags);
   Checked += checkSplitMerge(Spec, Whole, RunOptions, Diags);
   Checked += checkPermutation(Spec, Whole, RunOptions, Diags);
-  Checked += checkAssocInclusion(Options, RunOptions, Diags);
-  Checked += checkEngineEquivalence(Options, RunOptions, Diags);
+  Checked += checkAssocInclusionFamily(SetChain, Diags);
+  Checked += checkAssocInclusionFamily(FullChain, Diags);
+  Checked += checkEngineEquivalence(SetChain, RunOptions, Diags);
   Checked += checkRelabelInvariance(Options, Diags);
   return Checked;
 }

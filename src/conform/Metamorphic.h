@@ -57,8 +57,9 @@ struct MetamorphicOptions {
   uint32_t Scale = 64;
   /// Base engine seed.
   uint64_t Seed = 1592932958ULL;
-  /// Worker count for the parallel leg of the jobs property and for every
-  /// other matrix run; 1 keeps the whole suite serial.
+  /// Worker count for every matrix run (0 = all hardware threads), except
+  /// the jobs property's second run: 8 workers when this count is 1, else
+  /// 1.
   unsigned Jobs = 1;
 };
 

@@ -49,7 +49,8 @@ buildAllocator(const ExperimentConfig &Config, SimHeap &Heap, CostModel &Cost,
 RunResult runWithDriver(const ExperimentConfig &Config, double InstrPerRef,
                         const std::function<Histogram()> &SizeProfile,
                         const std::function<void(Driver &)> &Feed,
-                        TelemetrySnapshot *PartialOnError = nullptr) {
+                        TelemetrySnapshot *PartialOnError = nullptr,
+                        const std::vector<AccessSink *> &Observers = {}) {
   // One registry per run: no locks, no sharing. Null when telemetry is off,
   // which leaves every probe pointer below null as well.
   std::unique_ptr<Telemetry> Telem;
@@ -92,6 +93,8 @@ RunResult runWithDriver(const ExperimentConfig &Config, double InstrPerRef,
     Paging->attachTelemetry(Telem.get());
     Bus.attach(Paging.get());
   }
+  for (AccessSink *Observer : Observers)
+    Bus.attach(Observer);
 
   SimHeap Heap(Bus);
   Heap.attachTelemetry(Telem.get());
@@ -260,12 +263,9 @@ RunResult runWithDriver(const ExperimentConfig &Config, double InstrPerRef,
 
 } // namespace
 
-RunResult allocsim::runExperiment(const ExperimentConfig &Config) {
-  return runExperiment(Config, nullptr);
-}
-
 RunResult allocsim::runExperiment(const ExperimentConfig &Config,
-                                  TelemetrySnapshot *PartialOnError) {
+                                  TelemetrySnapshot *PartialOnError,
+                                  const std::vector<AccessSink *> &Observers) {
   const AppProfile &Profile = getProfile(Config.Workload);
   WorkloadEngine Engine(Profile, Config.Engine);
   return runWithDriver(
@@ -274,7 +274,7 @@ RunResult allocsim::runExperiment(const ExperimentConfig &Config,
       [&Engine](Driver &Drive) {
         Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
       },
-      PartialOnError);
+      PartialOnError, Observers);
 }
 
 RunResult

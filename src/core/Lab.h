@@ -126,12 +126,14 @@ struct CacheResult {
   CacheConfig Config;
   CacheStats Stats;
   TimeEstimate Time;
+  bool operator==(const CacheResult &Other) const = default;
 };
 
 /// One point of the fault-rate curve.
 struct PagingPoint {
   uint32_t MemoryKb = 0;
   double FaultsPerRef = 0;
+  bool operator==(const PagingPoint &Other) const = default;
 };
 
 /// Everything measured in one run.
@@ -195,17 +197,21 @@ struct RunResult {
   double estimatedSeconds(size_t CacheIndex) const {
     return Caches.at(CacheIndex).Time.seconds();
   }
+  bool operator==(const RunResult &Other) const = default;
 };
 
-/// Runs one experiment.
-RunResult runExperiment(const ExperimentConfig &Config);
-
-/// Like runExperiment, but if the run throws mid-stream and \p
-/// PartialOnError is non-null, the telemetry accumulated up to the failure
-/// point is snapshotted into it before the exception propagates (the
-/// MatrixRunner's quarantine records are built from this).
+/// Runs one experiment. This is the one rig that wires workload, allocator,
+/// bus and sinks together (DESIGN.md §9). If the run throws mid-stream and
+/// \p PartialOnError is non-null, the telemetry accumulated up to the
+/// failure is snapshotted into it before the exception propagates (the
+/// MatrixRunner's quarantine records are built from this). \p Observers are
+/// caller-owned sinks attached after the run's caches and pager, in order;
+/// the end-of-run flush delivers them the whole stream, and they change no
+/// RunResult field. They are an argument, not a config field, so matrix
+/// cells never share one.
 RunResult runExperiment(const ExperimentConfig &Config,
-                        TelemetrySnapshot *PartialOnError);
+                        TelemetrySnapshot *PartialOnError = nullptr,
+                        const std::vector<AccessSink *> &Observers = {});
 
 /// Runs one experiment whose event stream is \p Events (a parsed allocation
 /// script) instead of a synthesized workload. The rig — caches, paging,

@@ -116,6 +116,7 @@ struct TimeEstimate {
   double missSeconds(double ClockHz = 25.0e6) const {
     return missCycles() / ClockHz;
   }
+  bool operator==(const TimeEstimate &Other) const = default;
 };
 
 } // namespace allocsim

@@ -3,7 +3,10 @@
 // Part of allocsim (PLDI 1993 cache-locality-of-malloc reproduction).
 //
 // Coverage for the shared benchmark harness (bench/BenchCommon): the common
-// flag parsing, the conform/PaperPoints transcription bench_paper prints
+// flag parsing, the extension benches' --workload/--cache-kb diagnostics and
+// allocsim_workload_tool's argument diagnostics (both run as subprocesses:
+// a bad argument exits 1 with a message instead of aborting), the
+// conform/PaperPoints transcription bench_paper prints
 // beside measured values, and — via death tests — runBenchMatrix's fatal
 // paths: a failed cell must die with the cell's coordinates in the
 // message, and an unwritable --out-json path must die naming the path.
@@ -21,8 +24,15 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <sys/wait.h>
 
 using namespace allocsim;
+
+#if !defined(ALLOCSIM_VICTIM_BENCH_PATH) ||                                   \
+    !defined(ALLOCSIM_GEOMETRY_BENCH_PATH) ||                                 \
+    !defined(ALLOCSIM_WORKLOAD_TOOL_PATH)
+#error "the bench and workload-tool binary paths must be defined"
+#endif
 
 namespace {
 
@@ -83,6 +93,145 @@ TEST(BenchOptionsTest, BadFlagValuesAreRejectedNotNarrowed) {
   EXPECT_EQ(Options->Scale, 4294967295u);
   EXPECT_EQ(Options->Seed, UINT64_MAX);
   EXPECT_EQ(Options->Jobs, 16u);
+}
+
+/// Parses \p Argv with the extension benches' --workload and --cache-kb.
+CommandLine parseBenchFlags(std::vector<const char *> Argv) {
+  Argv.insert(Argv.begin(), "bench_test");
+  CommandLine Cli;
+  Cli.addFlag("workload", "espresso", "");
+  Cli.addFlag("cache-kb", "16", "");
+  EXPECT_TRUE(Cli.parse(static_cast<int>(Argv.size()), Argv.data()));
+  return Cli;
+}
+
+/// Runs \p Command with stderr folded into \p Output; returns the exit
+/// status, or -1 if it did not exit normally (an abort is a failure).
+int runCapture(const std::string &Command, std::string &Output) {
+  FILE *Pipe = popen((Command + " 2>&1").c_str(), "r");
+  if (!Pipe)
+    return -1;
+  char Buffer[512];
+  Output.clear();
+  while (std::fgets(Buffer, sizeof(Buffer), Pipe))
+    Output += Buffer;
+  int Status = pclose(Pipe);
+  return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
+}
+
+TEST(BenchOptionsTest, UnknownWorkloadIsRefused) {
+  WorkloadId Workload = WorkloadId::Espresso;
+  EXPECT_FALSE(readWorkloadFlag(parseBenchFlags({"--workload=nope"}),
+                                Workload));
+  EXPECT_EQ(Workload, WorkloadId::Espresso);
+  EXPECT_TRUE(readWorkloadFlag(parseBenchFlags({"--workload=gawk"}),
+                               Workload));
+  EXPECT_EQ(Workload, WorkloadId::Gawk);
+}
+
+TEST(BenchOptionsTest, CacheKbIsRangeAndGeometryChecked) {
+  // Not a power of two, not a number, zero, past 32 bits as a count and
+  // past 32 bits as a byte size: each refused, never narrowed.
+  for (const char *Bad :
+       {"--cache-kb=3", "--cache-kb=abc", "--cache-kb=0", "--cache-kb=-16",
+        "--cache-kb=4294967296", "--cache-kb=4194304"}) {
+    uint32_t CacheKb = 0;
+    std::vector<CacheConfig> Geometry = {{0, 32, 1}};
+    EXPECT_FALSE(readCacheKbFlag(parseBenchFlags({Bad}), CacheKb, Geometry))
+        << Bad;
+  }
+  // Every geometry must be valid at the size: a 4K block does not fit 2K.
+  uint32_t CacheKb = 0;
+  std::vector<CacheConfig> Geometries = {{0, 32, 1}, {0, 4096, 1}};
+  EXPECT_FALSE(readCacheKbFlag(parseBenchFlags({"--cache-kb=2"}), CacheKb,
+                               Geometries));
+  Geometries = {{0, 16, 1}, {0, 128, 8}};
+  ASSERT_TRUE(readCacheKbFlag(parseBenchFlags({"--cache-kb=2097152"}),
+                              CacheKb, Geometries));
+  EXPECT_EQ(CacheKb, 2097152u);
+  for (const CacheConfig &Geometry : Geometries)
+    EXPECT_EQ(Geometry.SizeBytes, 2048u * 1024 * 1024);
+}
+
+TEST(BenchOptionsTest, BadBenchArgumentsExitOneWithADiagnostic) {
+  struct BadInvocation {
+    const char *Binary;
+    const char *Args;
+    const char *ExpectInMessage;
+  };
+  const BadInvocation Bad[] = {
+      {ALLOCSIM_GEOMETRY_BENCH_PATH, "--workload nope",
+       "unknown workload 'nope'"},
+      {ALLOCSIM_VICTIM_BENCH_PATH, "--workload nope",
+       "unknown workload 'nope'"},
+      {ALLOCSIM_VICTIM_BENCH_PATH, "--cache-kb 3", "bad --cache-kb '3'"},
+      {ALLOCSIM_VICTIM_BENCH_PATH, "--cache-kb 4294967296",
+       "bad --cache-kb '4294967296'"},
+      {ALLOCSIM_GEOMETRY_BENCH_PATH, "--cache-kb 4194304",
+       "bad --cache-kb '4194304'"},
+  };
+  for (const BadInvocation &Invocation : Bad) {
+    std::string Output;
+    EXPECT_EQ(runCapture(std::string(Invocation.Binary) + " " +
+                             Invocation.Args,
+                         Output),
+              1)
+        << Invocation.Args << "\n"
+        << Output;
+    EXPECT_NE(Output.find(Invocation.ExpectInMessage), std::string::npos)
+        << Invocation.Args << "\n"
+        << Output;
+  }
+}
+
+TEST(WorkloadToolTest, BadArgumentsExitOneWithADiagnostic) {
+  struct BadInvocation {
+    const char *Args;
+    const char *ExpectInMessage;
+  };
+  // Arguments are checked before any script is read, so the script paths
+  // here need not exist.
+  const BadInvocation Bad[] = {
+      {"gen nope out.script", "unknown workload 'nope'"},
+      {"gen make out.script 0", "positive"},
+      {"gen make out.script abc", "not a number"},
+      {"gen make out.script 4294967296", "out of range"},
+      {"run in.script Nope", "unknown allocator 'Nope'"},
+      {"run in.script BSD 16KB", "not a number"},
+      {"run in.script BSD 17", "invalid cache geometry"},
+      {"run in.script BSD 4194320", "out of range"},
+      {"run in.script BSD 16 16", "duplicate cache geometry"},
+  };
+  for (const BadInvocation &Invocation : Bad) {
+    std::string Output;
+    EXPECT_EQ(runCapture(std::string(ALLOCSIM_WORKLOAD_TOOL_PATH) + " " +
+                             Invocation.Args,
+                         Output),
+              1)
+        << Invocation.Args << "\n"
+        << Output;
+    EXPECT_NE(Output.find(Invocation.ExpectInMessage), std::string::npos)
+        << Invocation.Args << "\n"
+        << Output;
+  }
+}
+
+TEST(WorkloadToolTest, RunsAScriptUnderCustom) {
+  // run goes through runScriptExperiment, which synthesizes Custom's size
+  // classes from the script itself.
+  const std::string Script = ::testing::TempDir() + "/workload_tool.script";
+  const std::string Tool = ALLOCSIM_WORKLOAD_TOOL_PATH;
+  std::string Output;
+  ASSERT_EQ(runCapture(Tool + " gen make " + Script + " 512", Output), 0)
+      << Output;
+  ASSERT_EQ(runCapture(Tool + " run " + Script + " Custom 16 64:16:2",
+                       Output),
+            0)
+      << Output;
+  EXPECT_NE(Output.find("allocator Custom: "), std::string::npos) << Output;
+  EXPECT_NE(Output.find("64K 2-way, 16B blocks"), std::string::npos)
+      << Output;
+  std::remove(Script.c_str());
 }
 
 TEST(BenchOptionsTest, HelpExitsWithoutOptions) {

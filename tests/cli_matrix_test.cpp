@@ -260,3 +260,16 @@ TEST(CliMatrixTest, LegacySingleWorkloadFlagsStillWork) {
                     "--scale 512");
   EXPECT_EQ(Exit, 0);
 }
+
+TEST(CliMatrixTest, SummaryHeadersNameANon32ByteBlock) {
+  // Two 64K caches that differ only in block size get distinct columns;
+  // 32-byte geometries keep their historical headers.
+  std::string Output;
+  int Exit = runCliCapture("--workload make --allocators BSD --scale 512 "
+                           "--caches 64:16,64:32,16:32:2,16:64:4",
+                           Output);
+  EXPECT_EQ(Exit, 0) << Output;
+  for (const char *Header : {"miss% 64K:16B ", "miss% 64K ",
+                             "miss% 16K:2w ", "miss% 16K:64B:4w "})
+    EXPECT_NE(Output.find(Header), std::string::npos) << Header << Output;
+}

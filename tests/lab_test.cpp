@@ -19,6 +19,17 @@ ExperimentConfig smallConfig(WorkloadId Workload, AllocatorKind Allocator) {
   return Config;
 }
 
+/// Sums the references it receives: a word run counts its words.
+class CountingObserver final : public AccessSink {
+public:
+  void access(const MemAccess &Access) override { Words += Access.words(); }
+  void accessBatch(const MemAccess *Batch, size_t Count) override {
+    for (size_t I = 0; I != Count; ++I)
+      Words += Batch[I].words();
+  }
+  uint64_t Words = 0;
+};
+
 } // namespace
 
 TEST(LabTest, RunsEveryAllocatorOnEveryWorkload) {
@@ -145,4 +156,25 @@ TEST(LabTest, SetAssociativeExtensionWorks) {
   // 4-way of equal size should not miss more on this workload.
   EXPECT_LE(Result.Caches[1].Stats.missRate(),
             Result.Caches[0].Stats.missRate() * 1.05);
+}
+
+TEST(LabTest, ObserversSeeEveryReferenceAndChangeNoResult) {
+  for (bool Batched : {true, false}) {
+    ExperimentConfig Config =
+        smallConfig(WorkloadId::Make, AllocatorKind::Bsd);
+    Config.PagingMemoryKb = {256, 1024};
+    Config.Telemetry = TelemetryLevel::Full;
+    Config.Check.Level = CheckLevel::Full;
+    Config.BatchedDelivery = Batched;
+    RunResult Plain = runExperiment(Config);
+
+    CountingObserver Counter;
+    // An observer of the run's own first geometry sees what that cache saw.
+    DirectMappedCache Mirror(Config.Caches[0]);
+    RunResult Observed = runExperiment(Config, nullptr, {&Counter, &Mirror});
+    EXPECT_EQ(Counter.Words, Observed.TotalRefs) << "batched " << Batched;
+    EXPECT_EQ(Mirror.stats(), Observed.Caches[0].Stats)
+        << "batched " << Batched;
+    EXPECT_TRUE(Plain == Observed) << "batched " << Batched;
+  }
 }

@@ -305,10 +305,11 @@ int main(int Argc, char **Argv) {
                  {"refs(M)", "instr(M)", "malloc+free %", "heap KB",
                   "scan/op"});
   for (const CacheConfig &Cache : Spec.Caches) {
-    Headers.push_back("miss% " + std::to_string(Cache.SizeBytes / 1024) +
-                      "K" + (Cache.Assoc > 1
-                                 ? ":" + std::to_string(Cache.Assoc) + "w"
-                                 : ""));
+    Headers.push_back(
+        "miss% " + std::to_string(Cache.SizeBytes / 1024) + "K" +
+        (Cache.BlockBytes != 32 ? ":" + std::to_string(Cache.BlockBytes) + "B"
+                                : "") +
+        (Cache.Assoc > 1 ? ":" + std::to_string(Cache.Assoc) + "w" : ""));
     Headers.push_back("est.sec");
   }
   for (uint32_t MemoryKb : Spec.PagingMemoryKb)

@@ -10,20 +10,21 @@
 //   allocsim_workload_tool check <script>
 //       validate a script's well-formedness and summarize it
 //   allocsim_workload_tool run <script> <allocator> [cacheKB...]
-//       replay a script against an allocator and report miss rates
+//       replay a script against an allocator and report miss rates; each
+//       cache is a sizeKB[:blockBytes[:assoc]] spec as in allocsim_cli
+//       --caches (default 16 64)
 //
 // Scripts let one captured behaviour be replayed against every allocator —
 // the same control the paper got by tracing one execution per application.
 //
 //===----------------------------------------------------------------------===//
 
-#include "alloc/Allocator.h"
-#include "cache/CacheSim.h"
+#include "core/Lab.h"
+#include "core/MatrixRunner.h"
 #include "support/Error.h"
+#include "support/SpecParse.h"
 #include "support/Table.h"
 #include "trace/AllocEvents.h"
-#include "workload/Driver.h"
-#include "workload/Engine.h"
 
 #include <fstream>
 #include <iostream>
@@ -31,6 +32,12 @@
 using namespace allocsim;
 
 namespace {
+
+/// Reports a bad argument; the tool exits 1 after it.
+int argumentError(const std::string &Message) {
+  std::cerr << "allocsim_workload_tool: error: " << Message << "\n";
+  return 1;
+}
 
 int usage() {
   std::cerr
@@ -40,18 +47,24 @@ int usage() {
   return 1;
 }
 
-std::vector<AllocEvent> loadScript(const std::string &Path) {
+/// Loads the script at \p Path into \p Events; false, after saying why,
+/// if it does not validate.
+bool loadScript(const std::string &Path, std::vector<AllocEvent> &Events) {
   std::ifstream File(Path);
   if (!File)
     reportFatalError("cannot open script '" + Path + "'");
-  return readAllocEvents(File);
+  Events = readAllocEvents(File);
+  std::string Why;
+  if (validateAllocEvents(Events, &Why))
+    return true;
+  std::cerr << "INVALID: " << Why << "\n";
+  return false;
 }
 
-int runGen(const std::string &Workload, const std::string &OutPath,
-           uint32_t Scale) {
+int runGen(WorkloadId Workload, const std::string &OutPath, uint32_t Scale) {
   EngineOptions Options;
   Options.Scale = Scale;
-  WorkloadEngine Engine(getProfile(parseWorkload(Workload)), Options);
+  WorkloadEngine Engine(getProfile(Workload), Options);
 
   std::ofstream OutFile(OutPath);
   if (!OutFile)
@@ -68,12 +81,9 @@ int runGen(const std::string &Workload, const std::string &OutPath,
 }
 
 int runCheck(const std::string &Path) {
-  std::vector<AllocEvent> Events = loadScript(Path);
-  std::string Why;
-  if (!validateAllocEvents(Events, &Why)) {
-    std::cerr << "INVALID: " << Why << "\n";
+  std::vector<AllocEvent> Events;
+  if (!loadScript(Path, Events))
     return 1;
-  }
   uint64_t Mallocs = 0, Frees = 0, TouchWords = 0, StackWords = 0;
   uint64_t Bytes = 0;
   for (const AllocEvent &Event : Events) {
@@ -102,36 +112,26 @@ int runCheck(const std::string &Path) {
   return 0;
 }
 
-int runScript(const std::string &Path, const std::string &AllocName,
-              const std::vector<uint32_t> &SizesKb) {
-  std::vector<AllocEvent> Events = loadScript(Path);
+/// Replays the script at \p Path through runScriptExperiment. The
+/// instruction split uses the default workload profile's
+/// instructions-per-reference ratio.
+int runScript(const std::string &Path, const ExperimentConfig &Config) {
+  std::vector<AllocEvent> Events;
+  if (!loadScript(Path, Events))
+    return 1;
+  RunResult Result = runScriptExperiment(Config, Events);
 
-  MemoryBus Bus;
-  Bus.setBatchCapacity(AccessBatch::MaxCapacity);
-  CacheBank Bank;
-  for (uint32_t SizeKb : SizesKb)
-    Bank.addCache(CacheConfig{SizeKb * 1024, 32, 1});
-  Bus.attach(&Bank);
-  SimHeap Heap(Bus);
-  CostModel Cost;
-  std::unique_ptr<Allocator> Alloc =
-      createAllocator(parseAllocatorKind(AllocName), Heap, Cost);
-  Driver Drive(*Alloc, Bus, Cost, /*InstrPerRef=*/3.5);
-  for (const AllocEvent &Event : Events)
-    Drive.execute(Event);
-  Bus.flush();
-
-  std::cout << "allocator " << Alloc->name() << ": "
-            << Alloc->stats().MallocCalls << " mallocs, heap "
-            << Alloc->heapBytes() / 1024 << " KB, "
-            << Bus.totalAccesses() << " refs, malloc+free "
-            << formatDouble(100.0 * Cost.allocFraction(), 1)
+  std::cout << "allocator " << allocatorKindName(Config.Allocator) << ": "
+            << Result.Alloc.MallocCalls << " mallocs, heap "
+            << Result.HeapBytes / 1024 << " KB, " << Result.TotalRefs
+            << " refs, malloc+free "
+            << formatDouble(100.0 * Result.allocInstrFraction(), 1)
             << "% of instructions\n\n";
   Table Out({"cache", "miss rate %"});
-  for (size_t I = 0; I != Bank.size(); ++I) {
+  for (const CacheResult &Cache : Result.Caches) {
     Out.beginRow();
-    Out.cell(Bank.cache(I).config().describe());
-    Out.num(100.0 * Bank.cache(I).stats().missRate(), 3);
+    Out.cell(Cache.Config.describe());
+    Out.num(100.0 * Cache.Stats.missRate(), 3);
   }
   Out.renderText(std::cout);
   return 0;
@@ -146,22 +146,35 @@ int main(int Argc, char **Argv) {
   if (Command == "gen") {
     if (Argc < 4)
       return usage();
-    uint32_t Scale = Argc > 4
-                         ? static_cast<uint32_t>(std::atoi(Argv[4]))
-                         : 64;
-    return runGen(Argv[2], Argv[3], Scale == 0 ? 64 : Scale);
+    WorkloadId Workload = WorkloadId::Espresso;
+    if (!tryParseWorkload(Argv[2], Workload))
+      return argumentError(std::string("unknown workload '") + Argv[2] + "'");
+    uint32_t Scale = 64;
+    std::string Error;
+    if (Argc > 4 && !parseSpecUnsigned(Argv[4], "scale", Scale, Error))
+      return argumentError(Error);
+    return runGen(Workload, Argv[3], Scale);
   }
   if (Command == "check")
     return runCheck(Argv[2]);
   if (Command == "run") {
     if (Argc < 4)
       return usage();
-    std::vector<uint32_t> SizesKb;
-    for (int I = 4; I < Argc; ++I)
-      SizesKb.push_back(static_cast<uint32_t>(std::atoi(Argv[I])));
-    if (SizesKb.empty())
-      SizesKb = {16, 64};
-    return runScript(Argv[2], Argv[3], SizesKb);
+    MatrixSpec Spec;
+    if (!tryParseAllocatorKind(Argv[3], Spec.Base.Allocator))
+      return argumentError(std::string("unknown allocator '") + Argv[3] +
+                           "'");
+    // The cache list goes through the matrix grammar's caches axis, which
+    // diagnoses bad and repeated geometries.
+    std::string CacheList = Argc > 4 ? Argv[4] : "16,64";
+    for (int I = 5; I < Argc; ++I)
+      CacheList.append(",").append(Argv[I]);
+    DiagEngine Diags;
+    parseMatrixAxis("caches", CacheList, Spec, Diags);
+    if (Diags.errorCount() != 0)
+      return argumentError(Diags.firstError());
+    Spec.Base.Caches = Spec.Caches;
+    return runScript(Argv[2], Spec.Base);
   }
   return usage();
 }
